@@ -45,7 +45,7 @@ namespace {
 
 struct Algo {
   const char* name;
-  std::function<sim::Task<void>(mp::RingComm)> op;
+  std::function<sim::Task<void>(mp::Comm)> op;
 };
 
 std::string job_label(const char* algo, int nodes) {
@@ -56,7 +56,7 @@ std::string job_label(const char* algo, int nodes) {
 /// is last-rank-out minus first-rank-in (collectives self-synchronize,
 /// so iterations cannot skew by more than one operation).
 netpipe::RunResult collective_job(const char* algo, int nodes, int repeats,
-                                  std::function<sim::Task<void>(mp::RingComm)> op) {
+                                  std::function<sim::Task<void>(mp::Comm)> op) {
   mp::FabricWorldOptions opt;
   opt.shards = 1;  // jobs already run one-per-worker-thread
   opt.host = hw::presets::pentium4_pc();
@@ -69,11 +69,11 @@ netpipe::RunResult collective_job(const char* algo, int nodes, int repeats,
     world.spawn(
         r,
         [](mp::FabricWorld& w, int rank, int iters,
-           const std::function<sim::Task<void>(mp::RingComm)>& body,
+           const std::function<sim::Task<void>(mp::Comm)>& body,
            std::vector<sim::SimTime>& in,
            std::vector<sim::SimTime>& out) -> sim::Task<void> {
           sim::Simulator& sm = w.simulator(rank);
-          const mp::RingComm comm = w.comm(rank);
+          const mp::Comm comm = w.comm(rank);
           for (int i = 0; i < iters; ++i) {
             const auto it = static_cast<std::size_t>(i);
             in[it] = std::min(in[it], sm.now());
@@ -213,15 +213,15 @@ int main(int argc, char** argv) {
   auto repeats_for = [smoke](int n) { return smoke || n >= 256 ? 3 : 5; };
 
   const std::vector<Algo> barriers = {
-      {"ring", [](mp::RingComm c) { return mp::ring_barrier(c); }},
+      {"ring", [](mp::Comm c) { return mp::ring_barrier(c); }},
       {"dissemination",
-       [](mp::RingComm c) { return mp::dissemination_barrier(c); }},
+       [](mp::Comm c) { return mp::dissemination_barrier(c); }},
   };
   const std::vector<Algo> allreduces = {
-      {"ring", [=](mp::RingComm c) {
+      {"ring", [=](mp::Comm c) {
          return mp::ring_allreduce(c, allreduce_bytes);
        }},
-      {"doubling", [=](mp::RingComm c) {
+      {"doubling", [=](mp::Comm c) {
          return mp::doubling_allreduce(c, allreduce_bytes);
        }},
   };

@@ -29,9 +29,9 @@ std::pair<double, double> ring_times_ms(int n, std::uint64_t bytes,
     // (retransmission timers idle out ~40 ms after the traffic stops).
     sim::SimTime finished = 0;
     for (int i = 0; i < n; ++i) {
-      mp::RingComm comm{libs[static_cast<std::size_t>(i)].get(), i, n};
+      mp::Comm comm{libs[static_cast<std::size_t>(i)].get(), i, n};
       world.sim.spawn(
-          [](mp::RingComm c, bool bcast, std::uint64_t b, sim::Simulator& s,
+          [](mp::Comm c, bool bcast, std::uint64_t b, sim::Simulator& s,
              sim::SimTime& fin) -> sim::Task<void> {
             if (bcast) {
               co_await mp::ring_broadcast(c, 0, b);

@@ -1,362 +1,33 @@
 #include "gmsim/gm.h"
 
-#include <algorithm>
-#include <cassert>
-
-#include "simcore/tracing.h"
-
 namespace pp::gm {
 
-GmPort::GmPort(sim::Simulator& sim, hw::Node& node, hw::PacketPipe& out,
-               hw::PacketPipe& in, GmConfig config, std::string name)
-    : sim_(sim),
-      node_(node),
-      out_(out),
-      in_(in),
-      config_(config),
-      name_(std::move(name)),
-      tokens_(sim, static_cast<std::uint64_t>(config.send_tokens)),
-      arrivals_(sim),
-      epoch_(node.power_epoch()) {
-  // Delivery-oracle stream: one directed channel per sending port. The
-  // auditor must be attached before the fabric is built (see
-  // Simulator::set_auditor); untagged messages stay stream 0.
-  if (audit::Auditor* aud = sim_.auditor()) {
-    audit_stream_ = aud->register_stream(name_);
-  }
-  sim_.spawn_daemon(rx_daemon(), name_ + ".rx");
-  // Crash/restart hooks; a run that never crashes only pays the push.
-  node_.add_power_listener([this](hw::PowerEvent e) {
-    if (e == hw::PowerEvent::kCrash) {
-      on_node_crash();
-    } else {
-      on_node_restart();
-    }
-  });
-}
+namespace {
 
-void GmPort::on_node_crash() {
-  // The LANai's SRAM state dies with the host: partially-assembled
-  // messages and staged-but-unconsumed arrivals are gone. Senders whose
-  // messages were parked here must resume replaying them.
-  trace_instant("port-crash");
-  for (const UnexpectedMsg& u : unexpected_) {
-    if (peer_) peer_->on_unstaged(u.msg_seq);
-  }
-  unexpected_.clear();
-  partial_.clear();
-  // posted_ survives: the library re-registers its pre-posted receive
-  // buffers at restart (counted below). Send tokens survive too — every
-  // in-flight fragment returns its token through the pipe drop hooks.
-}
-
-void GmPort::on_node_restart() {
-  // Re-register the port under the node's new power epoch: fragments
-  // stamped with the old epoch are rejected on arrival from now on.
-  epoch_ = node_.power_epoch();
-  reposts_ += posted_.size();
-  trace_instant("port-restart");
-}
-
-void GmPort::on_staged(std::uint64_t msg_seq) {
-  auto it = pending_.find(msg_seq);
-  if (it != pending_.end()) it->second.staged = true;
-}
-
-void GmPort::on_unstaged(std::uint64_t msg_seq) {
-  auto it = pending_.find(msg_seq);
-  if (it == pending_.end() || !it->second.staged) return;
-  it->second.staged = false;
-  it->second.timeout = config_.delivery_timeout;  // fresh situation
-  arm_delivery_watchdog(msg_seq);
-}
-
-void GmPort::fail_pair(const char* reason) {
-  GmPort* const ports[2] = {this, peer_};
-  for (GmPort* p : ports) {
-    if (p == nullptr || p->failed_) continue;
-    p->failed_ = true;
-    p->fail_reason_ = p->name_ + ": " + reason;
-    p->trace_instant("port-failed");
-    // Wake everything parked on this port: senders blocked on tokens get
-    // a poisoned grant, posted receives fire their triggers; both re-check
-    // failed_ and raise DeliveryFailed.
-    p->tokens_.release(1ull << 32);
-    for (PostedRecv* pr : p->posted_) pr->done->set();
-    p->posted_.clear();
-    p->arrivals_.notify_all();
-  }
-}
-
-void GmPort::trace_instant(const char* what) {
-  if (sim::TraceRecorder* t = sim_.tracer()) {
-    t->record_instant(name_, what, sim_.now());
-  }
-}
-
-sim::Task<void> GmPort::send(std::uint64_t bytes, std::uint32_t tag) {
-  if (failed_) throw DeliveryFailed(fail_reason_);
-  co_await node_.cpu_cost(config_.api_send_cost);
-  trace_instant("doorbell");
-  const std::uint64_t seq = next_msg_seq_++;
-  audit::MsgTag atag;
-  if (audit::Auditor* aud = sim_.auditor()) {
-    atag = aud->on_inject(audit_stream_, bytes);
-  }
-  if (config_.delivery_timeout > 0) {
-    // Each new message starts from the BASE timeout: watchdog backoff is
-    // per-message state, never inherited from an earlier message's bad
-    // luck.
-    pending_[seq] =
-        PendingDelivery{bytes, tag, 0, config_.delivery_timeout, false, atag};
-  }
-  co_await inject_fragments(seq, tag, bytes, 0, atag);
-  if (failed_) throw DeliveryFailed(fail_reason_);
-  arm_delivery_watchdog(seq);
-}
-
-sim::Task<void> GmPort::inject_fragments(std::uint64_t msg_seq,
-                                         std::uint32_t tag,
-                                         std::uint64_t bytes,
-                                         std::uint32_t attempt,
-                                         const audit::MsgTag& atag) {
-  const std::uint32_t mtu = out_.nic().mtu;
-  // One arena descriptor per message attempt, shared by every fragment
-  // (a refcounted view, not a clone): the per-fragment byte count is
-  // recomputed on the receive side from the frame's own dma_bytes.
-  sim::PacketRef desc = sim_.packet_arena().make<Frag>();
-  Frag* f = desc.get<Frag>();
-  f->dst = peer_;
-  f->tag = tag;
-  f->msg_seq = msg_seq;
-  f->msg_bytes = bytes;
-  f->attempt = attempt;
-  f->dst_epoch = peer_ != nullptr ? peer_->epoch_ : 0;
-  f->audit = atag;
-  // If fault injection discards a fragment anywhere in the pipe, the
-  // send token it holds must come home or the port slowly strangles
-  // itself (and, with every token lost, deadlocks). The hook lives once
-  // in the shared descriptor and fires once per dropped fragment.
-  std::weak_ptr<char> guard = alive_;
-  desc.set_drop([this, guard] {
-    if (guard.expired()) return;
-    tokens_.release(1);
-    ++frags_lost_;
-    trace_instant("frag-drop");
-  });
-  std::uint64_t left = bytes;
-  bool first = true;
-  while (first || left > 0) {
-    first = false;
-    const std::uint64_t frag = std::min<std::uint64_t>(left, mtu);
-    left -= frag;
-    co_await tokens_.acquire(1);
-    if (failed_) co_return;  // poisoned grant from fail_pair()
-    hw::Packet p;
-    p.dma_bytes = frag + config_.frag_header;
-    p.wire_bytes = frag + config_.frag_header + out_.nic().frame_overhead;
-    p.desc = desc;
-    p.fire_drop = true;  // every fragment holds one send token
-    out_.inject(std::move(p));
-  }
-}
-
-sim::Task<void> GmPort::retry_message(std::uint64_t msg_seq) {
-  auto it = pending_.find(msg_seq);
-  if (it == pending_.end()) co_return;  // delivered while we were queued
-  const PendingDelivery p = it->second;
-  co_await inject_fragments(msg_seq, p.tag, p.bytes, p.attempt, p.audit);
-  arm_delivery_watchdog(msg_seq);
-}
-
-void GmPort::arm_delivery_watchdog(std::uint64_t msg_seq) {
-  auto it = pending_.find(msg_seq);
-  if (it == pending_.end()) return;  // delivered (or watchdog disabled)
-  const std::uint32_t attempt = it->second.attempt;
-  std::weak_ptr<char> guard = alive_;
-  sim_.call_after(it->second.timeout, [this, guard, msg_seq, attempt] {
-    if (guard.expired() || failed_) return;
-    auto pit = pending_.find(msg_seq);
-    if (pit == pending_.end() || pit->second.attempt != attempt) return;
-    // Parked in the peer's unexpected queue: a slow consumer is not a
-    // delivery failure. Stand down; a receiver crash re-arms us.
-    if (pit->second.staged) return;
-    if (config_.max_delivery_attempts > 0 &&
-        pit->second.attempt + 1 >= config_.max_delivery_attempts) {
-      fail_pair("delivery-attempts-exhausted");
-      return;
-    }
-    // No completion within the timeout: the whole message goes again as
-    // a new attempt, with the interval backed off up to the cap.
-    ++delivery_failures_;
-    trace_instant("delivery-retry");
-    pit->second.attempt += 1;
-    pit->second.timeout =
-        std::min(pit->second.timeout * 2, config_.delivery_timeout_max);
-    sim_.spawn(retry_message(msg_seq), name_ + ".retry");
-  });
-}
-
-void GmPort::prune_partials() {
-  // Completed markers are kept so late duplicate fragments of a delivered
-  // message cannot re-complete it; bound their number so long streaming
-  // runs do not accumulate one entry per message forever.
-  if (partial_.size() <= 4096) return;
-  for (auto it = partial_.begin();
-       it != partial_.end() && partial_.size() > 2048;) {
-    if (it->second.done) {
-      it = partial_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void GmPort::complete_message(std::uint32_t tag, std::uint64_t bytes,
-                              std::uint64_t msg_seq,
-                              const audit::MsgTag& atag) {
-  ++messages_received_;
-  auto it = std::find_if(posted_.begin(), posted_.end(), [&](PostedRecv* p) {
-    return !p->completed && p->tag == tag;
-  });
-  if (it != posted_.end()) {
-    PostedRecv* pr = *it;
-    posted_.erase(it);
-    pr->completed = true;
-    pr->staged = false;  // landed in the pre-posted buffer: zero-copy
-    trace_instant("complete");
-    // Consumption point (pre-posted buffer): the oracle verifies
-    // intact/exactly-once/FIFO here. A completion into a posted buffer
-    // on an already-failed pair is a teardown violation.
-    if (audit::Auditor* aud = sim_.auditor()) {
-      aud->on_deliver(atag, bytes, /*after_teardown=*/failed_);
-    }
-    if (peer_) peer_->on_delivered(msg_seq);
-    pr->done->set();
+bypass::Personality personality(const GmConfig& c, const hw::Node& node) {
+  bypass::Personality p;
+  p.credits = c.send_tokens;
+  p.post_send_cost = c.api_send_cost;
+  p.post_recv_cost = c.api_recv_cost;
+  if (c.recv_mode == RecvMode::kBlocking) {
+    // Sleep until the completion interrupt, then pay the host wakeup.
+    p.completion_sleep = c.blocking_wakeup;
+    p.completion_cost = node.config().wakeup_cost;
   } else {
-    trace_instant("unexpected");
-    unexpected_.push_back(UnexpectedMsg{tag, msg_seq, bytes, atag});
-    // Staged, not consumed: the sender's watchdog stands down but keeps
-    // the message replayable should this node crash before recv(). The
-    // oracle deliberately does NOT count staging as delivery — a crash
-    // may wipe this queue and the replay is correct, not a duplicate.
-    if (peer_) peer_->on_staged(msg_seq);
-    arrivals_.notify_all();
+    // Hybrid delivers polling-grade latency without pinning the CPU
+    // ("provides the same results as the Polling mode but should not
+    // burden the CPU as much").
+    p.completion_cost = c.polling_detect;
   }
+  return p;
 }
 
-sim::Task<void> GmPort::rx_daemon() {
-  for (;;) {
-    hw::Packet p = co_await in_.delivered().pop();
-    assert(p.desc && "foreign packet on GM pipe");
-    const Frag* frag = p.desc.get<Frag>();
-    assert(frag->dst == this && "foreign packet on GM pipe");
-    if (p.injected_dup) {
-      // NIC-level dedup: an injected duplicate never held a send token
-      // and must not touch protocol state.
-      trace_instant("dup-filtered");
-      continue;
-    }
-    // The fragment has been deposited; return the sender's token.
-    peer_->tokens_.release(1);
-    if (frag->dst_epoch != epoch_ && !config_.unsafe_skip_epoch_fence) {
-      // Addressed to a previous power epoch of this port: the state it
-      // belonged to died with the node. The token already went home; the
-      // sender's watchdog replays the message under the current epoch.
-      ++stale_epoch_drops_;
-      trace_instant("stale-epoch");
-      continue;
-    }
-    if (p.corrupted) {
-      // CRC failure after the DMA: the fragment is discarded; the message
-      // completes via the sender's delivery watchdog.
-      trace_instant("crc-drop");
-      continue;
-    }
-    PartialMsg& pm = partial_[frag->msg_seq];
-    if (pm.done || frag->attempt < pm.attempt) continue;  // stale duplicate
-    if (frag->attempt > pm.attempt) {
-      // A retry superseded a partially-arrived attempt; start over.
-      pm.attempt = frag->attempt;
-      pm.sofar = 0;
-    }
-    // Fencing/CRC oracle: this fragment is being ACCEPTED into a partial
-    // message. With the rejection ladder intact neither condition can
-    // hold; an epoch-fence or checksum bug upstream trips it.
-    if (audit::Auditor* aud = sim_.auditor()) {
-      aud->on_accept_fragment(frag->audit, frag->dst_epoch, epoch_,
-                              p.corrupted);
-    }
-    pm.sofar += p.dma_bytes - config_.frag_header;
-    if (pm.sofar == frag->msg_bytes) {
-      if (config_.delivery_timeout > 0) {
-        pm.done = true;
-        prune_partials();
-      } else {
-        partial_.erase(frag->msg_seq);
-      }
-      complete_message(frag->tag, frag->msg_bytes, frag->msg_seq,
-                       frag->audit);
-    }
-  }
-}
-
-sim::Task<void> GmPort::recv(std::uint64_t bytes, std::uint32_t tag) {
-  if (failed_) throw DeliveryFailed(fail_reason_);
-  co_await node_.cpu_cost(config_.api_recv_cost);
-  bool staged = false;
-  auto uit =
-      std::find_if(unexpected_.begin(), unexpected_.end(),
-                   [&](const UnexpectedMsg& u) { return u.tag == tag; });
-  if (uit != unexpected_.end()) {
-    // Now the message is truly consumed: the sender may forget it.
-    if (audit::Auditor* aud = sim_.auditor()) {
-      aud->on_deliver(uit->audit, uit->bytes, /*after_teardown=*/failed_);
-    }
-    if (peer_) peer_->on_delivered(uit->msg_seq);
-    unexpected_.erase(uit);
-    staged = true;  // had to be parked in a GM bounce buffer
-  } else {
-    trace_instant("post-recv");
-    PostedRecv pr;
-    pr.tag = tag;
-    pr.done = std::make_unique<sim::Trigger>(sim_);
-    posted_.push_back(&pr);
-    co_await pr.done->wait();
-    if (failed_) throw DeliveryFailed(fail_reason_);
-    staged = pr.staged;
-  }
-  switch (config_.recv_mode) {
-    case RecvMode::kPolling:
-    case RecvMode::kHybrid:
-      // Hybrid delivers polling-grade latency without pinning the CPU
-      // ("provides the same results as the Polling mode but should not
-      // burden the CPU as much").
-      co_await node_.cpu_cost(config_.polling_detect);
-      break;
-    case RecvMode::kBlocking:
-      co_await sim_.delay(config_.blocking_wakeup);
-      co_await node_.cpu_cost(node_.config().wakeup_cost);
-      break;
-  }
-  if (staged) {
-    staged_bytes_ += bytes;
-    trace_instant("staging-copy");
-    co_await node_.staging_copy(bytes);
-  }
-}
+}  // namespace
 
 GmFabric::GmFabric(hw::Cluster& cluster, hw::Node& a, hw::Node& b,
                    const hw::NicConfig& nic, const hw::LinkConfig& link,
                    GmConfig config)
-    : duplex_(cluster.connect(a, b, nic, link)) {
-  port_a_ = std::make_unique<GmPort>(cluster.simulator(), a, duplex_.forward,
-                                     duplex_.backward, config, "gm.a");
-  port_b_ = std::make_unique<GmPort>(cluster.simulator(), b,
-                                     duplex_.backward, duplex_.forward,
-                                     config, "gm.b");
-  port_a_->peer_ = port_b_.get();
-  port_b_->peer_ = port_a_.get();
-}
+    : link_(cluster, a, b, nic, link, config, personality(config, a),
+            personality(config, b), "gm") {}
 
 }  // namespace pp::gm

@@ -10,27 +10,22 @@
 //    polling cost without burning the CPU — "should be used in general");
 //  - messages land in pre-posted receive buffers; unmatched arrivals are
 //    staged and cost a copy when finally matched.
+//
+// The fragmentation, matching, delivery watchdog and crash handling are
+// the shared OS-bypass core (bypass/endpoint.h); GM contributes its API
+// costs, token count and receive mode. It never uses the core's RDMA
+// handshake.
 #pragma once
 
-#include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
-#include <string>
-
-#include "audit/audit.h"
-#include "simcore/simulator.h"
-#include "simcore/sync.h"
-#include "simcore/task.h"
-#include "simhw/cluster.h"
-#include "simhw/node.h"
-#include "simhw/pipe.h"
+#include "bypass/endpoint.h"
 
 namespace pp::gm {
 
 enum class RecvMode { kPolling, kBlocking, kHybrid };
 
-struct GmConfig {
+/// GM settings; the delivery watchdog and epoch-fence settings come from
+/// bypass::EndpointConfig.
+struct GmConfig : bypass::EndpointConfig {
   RecvMode recv_mode = RecvMode::kPolling;
   /// Send tokens: fragments allowed in flight before backpressure.
   int send_tokens = 16;
@@ -40,218 +35,24 @@ struct GmConfig {
   /// Extra completion-detection time per message by receive mode.
   sim::SimTime polling_detect = sim::microseconds(2.0);
   sim::SimTime blocking_wakeup = sim::microseconds(20.0);
-  /// GM packet header bytes per fragment on the wire.
-  std::uint32_t frag_header = 8;
-  /// Delivery watchdog: when nonzero, a sender retransmits a message
-  /// whose remote delivery has not completed within this timeout
-  /// (doubling per retry up to delivery_timeout_max). 0 disables — the
-  /// right setting for the paper's lossless fabrics; enable it whenever a
-  /// FaultPlan can drop fragments, or a lost fragment deadlocks the port.
-  sim::SimTime delivery_timeout = 0;
-  sim::SimTime delivery_timeout_max = sim::milliseconds(10.0);
-  /// Delivery attempts (original send + watchdog retries) per message
-  /// before the port pair is declared failed and blocked send()/recv()
-  /// calls raise DeliveryFailed. 0 = retry forever — the right setting
-  /// when the peer is guaranteed to come back; chaos/resilience runs set
-  /// a cap so a permanently dead peer yields a clean `failed` verdict.
-  std::uint32_t max_delivery_attempts = 0;
-  /// TEST ONLY: disables the receive-side power-epoch fence so fragments
-  /// from a dead epoch are accepted — the deliberate protocol bug the
-  /// audit oracle (audit/audit.h) must catch. Never set outside tests.
-  bool unsafe_skip_epoch_fence = false;
-};
-
-/// Raised by send()/recv() once a port pair exhausted
-/// `GmConfig::max_delivery_attempts` (e.g. the peer crashed permanently).
-/// Derives from sim::ProtocolFailure so sweep executors classify the run
-/// `failed` rather than errored or hung.
-class DeliveryFailed : public sim::ProtocolFailure {
- public:
-  explicit DeliveryFailed(const std::string& what)
-      : sim::ProtocolFailure(what) {}
 };
 
 /// One GM port (endpoint). Create a connected pair with GmFabric.
-class GmPort {
- public:
-  GmPort(sim::Simulator& sim, hw::Node& node, hw::PacketPipe& out,
-         hw::PacketPipe& in, GmConfig config, std::string name);
+using GmPort = bypass::Endpoint;
 
-  /// gm_send of one tagged message; returns when the NIC has accepted
-  /// all fragments (local completion).
-  sim::Task<void> send(std::uint64_t bytes, std::uint32_t tag);
-
-  /// Completes when a message with `tag` has fully arrived. If it was
-  /// already waiting unmatched, a staging copy is charged.
-  sim::Task<void> recv(std::uint64_t bytes, std::uint32_t tag);
-
-  hw::Node& node() { return node_; }
-  const GmConfig& config() const { return config_; }
-  const std::string& name() const { return name_; }
-
-  std::uint64_t messages_received() const { return messages_received_; }
-
-  /// Bytes that landed unmatched and had to go through a GM bounce
-  /// buffer (each costs a staging copy on this node).
-  std::uint64_t staged_bytes() const { return staged_bytes_; }
-
-  /// Delivery-watchdog retransmissions this port performed (lost
-  /// doorbells/completions recovered by timeout).
-  std::uint64_t delivery_failures() const { return delivery_failures_; }
-
-  /// Fragments of ours that fault injection discarded (tokens reclaimed).
-  std::uint64_t frags_lost() const { return frags_lost_; }
-
-  /// Frames dropped on this port's outbound pipe (all injection causes).
-  std::uint64_t wire_drops() const { return out_.packets_dropped(); }
-
-  /// Power epoch this port is registered under (tracks the node's; every
-  /// fragment is stamped with the destination's epoch and stale-epoch
-  /// arrivals are rejected after their token is returned).
-  std::uint32_t epoch() const { return epoch_; }
-
-  /// Pre-posted receive buffers re-registered across restarts.
-  std::uint64_t reposts() const { return reposts_; }
-
-  /// Fragments rejected because they were addressed to a previous power
-  /// epoch of this port.
-  std::uint64_t stale_epoch_drops() const { return stale_epoch_drops_; }
-
-  /// True once the pair exhausted max_delivery_attempts.
-  bool failed() const { return failed_; }
-
- private:
-  friend class GmFabric;
-
-  /// Per-message descriptor, one arena slot shared by every fragment of
-  /// the attempt (the fragment's own byte count is derived from the
-  /// frame's dma_bytes on receive).
-  struct Frag {
-    GmPort* dst = nullptr;
-    std::uint32_t tag = 0;
-    std::uint32_t attempt = 0;  ///< 0 = original send, else retry number
-    std::uint64_t msg_seq = 0;  ///< per-sender unique message number
-    std::uint64_t msg_bytes = 0;
-    /// Destination port's power epoch at injection time; the receiver
-    /// rejects fragments stamped with a dead epoch (its pre-crash state
-    /// is gone, the sender's watchdog replays under the new epoch).
-    std::uint32_t dst_epoch = 0;
-    /// Delivery-oracle identity (audit/audit.h); stream 0 when no
-    /// auditor is attached. Same across every attempt of the message.
-    audit::MsgTag audit;
-  };
-
-  struct PartialMsg {
-    std::uint32_t attempt = 0;
-    std::uint64_t sofar = 0;
-    bool done = false;  ///< completed; late duplicates must be ignored
-  };
-
-  struct PendingDelivery {
-    std::uint64_t bytes = 0;
-    std::uint32_t tag = 0;
-    std::uint32_t attempt = 0;
-    sim::SimTime timeout = 0;  ///< next watchdog interval (backed off)
-    /// The message reached the peer's unexpected queue but has not been
-    /// consumed by recv() yet: the watchdog stands down (a slow consumer
-    /// is not a delivery failure), but the entry stays so a receiver
-    /// crash can un-stage it and resume replaying.
-    bool staged = false;
-    audit::MsgTag audit;  ///< replayed verbatim by watchdog retries
-  };
-
-  struct PostedRecv {
-    std::uint32_t tag = 0;
-    bool completed = false;
-    bool staged = false;
-    std::unique_ptr<sim::Trigger> done;
-  };
-
-  /// An arrival staged in the unexpected queue (completed, unmatched).
-  struct UnexpectedMsg {
-    std::uint32_t tag = 0;
-    std::uint64_t msg_seq = 0;
-    std::uint64_t bytes = 0;
-    audit::MsgTag audit;
-  };
-
-  sim::Task<void> rx_daemon();
-  void complete_message(std::uint32_t tag, std::uint64_t bytes,
-                        std::uint64_t msg_seq, const audit::MsgTag& atag);
-  void trace_instant(const char* what);
-
-  /// The token-paced fragment injection loop shared by send() and the
-  /// watchdog's retransmissions.
-  sim::Task<void> inject_fragments(std::uint64_t msg_seq, std::uint32_t tag,
-                                   std::uint64_t bytes, std::uint32_t attempt,
-                                   const audit::MsgTag& atag);
-  sim::Task<void> retry_message(std::uint64_t msg_seq);
-  void arm_delivery_watchdog(std::uint64_t msg_seq);
-  /// Peer-side notification that message `msg_seq` was consumed (matched
-  /// a posted receive, or recv() drained it from the unexpected queue).
-  void on_delivered(std::uint64_t msg_seq) { pending_.erase(msg_seq); }
-  /// Peer-side notification that `msg_seq` is parked in the peer's
-  /// unexpected queue: stop retrying, but keep the entry replayable.
-  void on_staged(std::uint64_t msg_seq);
-  /// The peer crashed with `msg_seq` still staged: resume the watchdog.
-  void on_unstaged(std::uint64_t msg_seq);
-  void fail_pair(const char* reason);
-  void on_node_crash();
-  void on_node_restart();
-  void prune_partials();
-
-  sim::Simulator& sim_;
-  hw::Node& node_;
-  hw::PacketPipe& out_;
-  hw::PacketPipe& in_;
-  GmConfig config_;
-  std::string name_;
-
-  sim::ByteSemaphore tokens_;
-  GmPort* peer_ = nullptr;
-
-  // Send side.
-  std::uint32_t audit_stream_ = 0;  ///< delivery-oracle stream (0 = off)
-  std::uint64_t next_msg_seq_ = 0;
-  std::map<std::uint64_t, PendingDelivery> pending_;  // msg_seq -> watchdog
-  std::uint64_t delivery_failures_ = 0;
-  std::uint64_t frags_lost_ = 0;
-
-  // Receive side.
-  std::map<std::uint64_t, PartialMsg> partial_;  // msg_seq -> progress
-  std::deque<PostedRecv*> posted_;
-  std::deque<UnexpectedMsg> unexpected_;  // completed, unmatched
-  sim::Signal arrivals_;
-  std::uint64_t messages_received_ = 0;
-  std::uint64_t staged_bytes_ = 0;
-
-  // Crash/restart state.
-  std::uint32_t epoch_ = 1;  ///< synced to the node's power epoch
-  std::uint64_t reposts_ = 0;
-  std::uint64_t stale_epoch_drops_ = 0;
-  bool failed_ = false;
-  std::string fail_reason_;
-
-  /// Liveness token: watchdog timers and drop callbacks outlive torn-down
-  /// ports (sweep jobs destroy fabrics with timers queued), so they hold
-  /// only a weak handle and become no-ops once the port is gone.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(1);
-};
-
-/// Builds a Myrinet link between two nodes and a connected GM port pair.
+/// Builds a Myrinet link between two nodes and a connected GM port pair
+/// ("gm.a", "gm.b").
 class GmFabric {
  public:
   GmFabric(hw::Cluster& cluster, hw::Node& a, hw::Node& b,
            const hw::NicConfig& nic, const hw::LinkConfig& link,
            GmConfig config = {});
 
-  GmPort& port_a() { return *port_a_; }
-  GmPort& port_b() { return *port_b_; }
+  GmPort& port_a() { return link_.a(); }
+  GmPort& port_b() { return link_.b(); }
 
  private:
-  hw::Cluster::Duplex duplex_;
-  std::unique_ptr<GmPort> port_a_;
-  std::unique_ptr<GmPort> port_b_;
+  bypass::Link link_;
 };
 
 }  // namespace pp::gm

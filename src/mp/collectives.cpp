@@ -12,7 +12,7 @@ namespace {
 /// small enough to overlap the ring hops).
 constexpr std::uint64_t kBcastChunk = 64 << 10;
 
-void validate_root(const RingComm& comm, int root) {
+void validate_root(const Comm& comm, int root) {
   if (root < 0 || root >= comm.size) {
     throw std::invalid_argument("collective root " + std::to_string(root) +
                                 " outside [0, " + std::to_string(comm.size) +
@@ -25,7 +25,7 @@ void validate_root(const RingComm& comm, int root) {
 // which would turn a bad communicator into a deferred surprise instead
 // of an immediate throw at the call site.
 
-sim::Task<void> ring_broadcast_impl(RingComm comm, int root,
+sim::Task<void> ring_broadcast_impl(Comm comm, int root,
                                     std::uint64_t bytes, std::uint32_t tag) {
   if (comm.size <= 1 || bytes == 0) co_return;
   const int dist = (comm.rank - root + comm.size) % comm.size;
@@ -46,7 +46,7 @@ sim::Task<void> ring_broadcast_impl(RingComm comm, int root,
   }
 }
 
-sim::Task<void> ring_allreduce_impl(RingComm comm, std::uint64_t bytes,
+sim::Task<void> ring_allreduce_impl(Comm comm, std::uint64_t bytes,
                                     std::uint32_t tag) {
   if (comm.size <= 1 || bytes == 0) co_return;
   const std::uint64_t chunk = (bytes + comm.size - 1) / comm.size;
@@ -68,7 +68,7 @@ sim::Task<void> ring_allreduce_impl(RingComm comm, std::uint64_t bytes,
   }
 }
 
-sim::Task<void> ring_allgather_impl(RingComm comm, std::uint64_t block_bytes,
+sim::Task<void> ring_allgather_impl(Comm comm, std::uint64_t block_bytes,
                                     std::uint32_t tag) {
   if (comm.size <= 1 || block_bytes == 0) co_return;
   for (int step = 0; step < comm.size - 1; ++step) {
@@ -79,7 +79,7 @@ sim::Task<void> ring_allgather_impl(RingComm comm, std::uint64_t block_bytes,
   }
 }
 
-sim::Task<void> ring_barrier_impl(RingComm comm, std::uint32_t tag) {
+sim::Task<void> ring_barrier_impl(Comm comm, std::uint32_t tag) {
   if (comm.size <= 1) co_return;
   for (int round = 0; round < 2; ++round) {
     const std::uint32_t t = tag + static_cast<std::uint32_t>(round);
@@ -93,7 +93,7 @@ sim::Task<void> ring_barrier_impl(RingComm comm, std::uint32_t tag) {
   }
 }
 
-sim::Task<void> tree_broadcast_impl(RingComm comm, int root,
+sim::Task<void> tree_broadcast_impl(Comm comm, int root,
                                     std::uint64_t bytes, std::uint32_t tag) {
   if (comm.size <= 1 || bytes == 0) co_return;
   // Rotate so the root is virtual rank 0; the set bit structure of the
@@ -118,7 +118,7 @@ sim::Task<void> tree_broadcast_impl(RingComm comm, int root,
   }
 }
 
-sim::Task<void> dissemination_barrier_impl(RingComm comm, std::uint32_t tag) {
+sim::Task<void> dissemination_barrier_impl(Comm comm, std::uint32_t tag) {
   if (comm.size <= 1) co_return;
   std::uint32_t round = 0;
   for (int d = 1; d < comm.size; d <<= 1, ++round) {
@@ -131,7 +131,7 @@ sim::Task<void> dissemination_barrier_impl(RingComm comm, std::uint32_t tag) {
   }
 }
 
-sim::Task<void> dissemination_allgather_impl(RingComm comm,
+sim::Task<void> dissemination_allgather_impl(Comm comm,
                                              std::uint64_t block_bytes,
                                              std::uint32_t tag) {
   if (comm.size <= 1 || block_bytes == 0) co_return;
@@ -151,7 +151,7 @@ sim::Task<void> dissemination_allgather_impl(RingComm comm,
   }
 }
 
-sim::Task<void> doubling_allreduce_impl(RingComm comm, std::uint64_t bytes,
+sim::Task<void> doubling_allreduce_impl(Comm comm, std::uint64_t bytes,
                                         std::uint32_t tag) {
   if (comm.size <= 1 || bytes == 0) co_return;
   int pof2 = 1;
@@ -197,66 +197,66 @@ sim::Task<void> doubling_allreduce_impl(RingComm comm, std::uint64_t bytes,
 
 }  // namespace
 
-void validate(const RingComm& comm) {
+void validate(const Comm& comm) {
   if (comm.lib == nullptr) {
-    throw std::invalid_argument("RingComm: null library endpoint");
+    throw std::invalid_argument("Comm: null library endpoint");
   }
   if (comm.size <= 0) {
-    throw std::invalid_argument("RingComm: size " +
+    throw std::invalid_argument("Comm: size " +
                                 std::to_string(comm.size) + " <= 0");
   }
   if (comm.rank < 0 || comm.rank >= comm.size) {
-    throw std::invalid_argument("RingComm: rank " +
+    throw std::invalid_argument("Comm: rank " +
                                 std::to_string(comm.rank) +
                                 " outside [0, " + std::to_string(comm.size) +
                                 ")");
   }
 }
 
-sim::Task<void> ring_broadcast(RingComm comm, int root, std::uint64_t bytes,
+sim::Task<void> ring_broadcast(Comm comm, int root, std::uint64_t bytes,
                                std::uint32_t tag) {
   validate(comm);
   validate_root(comm, root);
   return ring_broadcast_impl(comm, root, bytes, tag);
 }
 
-sim::Task<void> ring_allreduce(RingComm comm, std::uint64_t bytes,
+sim::Task<void> ring_allreduce(Comm comm, std::uint64_t bytes,
                                std::uint32_t tag) {
   validate(comm);
   return ring_allreduce_impl(comm, bytes, tag);
 }
 
-sim::Task<void> ring_allgather(RingComm comm, std::uint64_t block_bytes,
+sim::Task<void> ring_allgather(Comm comm, std::uint64_t block_bytes,
                                std::uint32_t tag) {
   validate(comm);
   return ring_allgather_impl(comm, block_bytes, tag);
 }
 
-sim::Task<void> ring_barrier(RingComm comm, std::uint32_t tag) {
+sim::Task<void> ring_barrier(Comm comm, std::uint32_t tag) {
   validate(comm);
   return ring_barrier_impl(comm, tag);
 }
 
-sim::Task<void> tree_broadcast(RingComm comm, int root, std::uint64_t bytes,
+sim::Task<void> tree_broadcast(Comm comm, int root, std::uint64_t bytes,
                                std::uint32_t tag) {
   validate(comm);
   validate_root(comm, root);
   return tree_broadcast_impl(comm, root, bytes, tag);
 }
 
-sim::Task<void> dissemination_barrier(RingComm comm, std::uint32_t tag) {
+sim::Task<void> dissemination_barrier(Comm comm, std::uint32_t tag) {
   validate(comm);
   return dissemination_barrier_impl(comm, tag);
 }
 
-sim::Task<void> dissemination_allgather(RingComm comm,
+sim::Task<void> dissemination_allgather(Comm comm,
                                         std::uint64_t block_bytes,
                                         std::uint32_t tag) {
   validate(comm);
   return dissemination_allgather_impl(comm, block_bytes, tag);
 }
 
-sim::Task<void> doubling_allreduce(RingComm comm, std::uint64_t bytes,
+sim::Task<void> doubling_allreduce(Comm comm, std::uint64_t bytes,
                                    std::uint32_t tag) {
   validate(comm);
   return doubling_allreduce_impl(comm, bytes, tag);

@@ -25,9 +25,9 @@
 
 namespace pp::mp {
 
-/// A rank's view of the communicator (the name predates the
-/// tree/dissemination algorithms; it is just rank + size + endpoint).
-struct RingComm {
+/// A rank's view of the communicator: its rank, the size and the
+/// library endpoint every collective algorithm sends through.
+struct Comm {
   Library* lib = nullptr;
   int rank = 0;
   int size = 0;
@@ -38,44 +38,44 @@ struct RingComm {
 
 /// Throws std::invalid_argument unless comm.lib != null, comm.size >= 1
 /// and 0 <= comm.rank < comm.size. Called by every collective.
-void validate(const RingComm& comm);
+void validate(const Comm& comm);
 
 /// Pipelined ring broadcast of `bytes` from `root`.
-sim::Task<void> ring_broadcast(RingComm comm, int root, std::uint64_t bytes,
+sim::Task<void> ring_broadcast(Comm comm, int root, std::uint64_t bytes,
                                std::uint32_t tag = 0x1000);
 
 /// Bandwidth-optimal ring allreduce of a `bytes`-sized vector.
-sim::Task<void> ring_allreduce(RingComm comm, std::uint64_t bytes,
+sim::Task<void> ring_allreduce(Comm comm, std::uint64_t bytes,
                                std::uint32_t tag = 0x2000);
 
 /// Ring allgather: every rank contributes `block_bytes` and ends with
 /// size * block_bytes.
-sim::Task<void> ring_allgather(RingComm comm, std::uint64_t block_bytes,
+sim::Task<void> ring_allgather(Comm comm, std::uint64_t block_bytes,
                                std::uint32_t tag = 0x3000);
 
 /// Ring barrier: a token travels the ring twice.
-sim::Task<void> ring_barrier(RingComm comm, std::uint32_t tag = 0x4000);
+sim::Task<void> ring_barrier(Comm comm, std::uint32_t tag = 0x4000);
 
 /// Binomial-tree broadcast of `bytes` from `root`: ceil(log2 N) rounds,
 /// each informed rank forwarding to one new rank per round.
-sim::Task<void> tree_broadcast(RingComm comm, int root, std::uint64_t bytes,
+sim::Task<void> tree_broadcast(Comm comm, int root, std::uint64_t bytes,
                                std::uint32_t tag = 0x5000);
 
 /// Dissemination barrier: ceil(log2 N) rounds, rank r signalling
 /// r + 2^k and waiting on r - 2^k each round.
-sim::Task<void> dissemination_barrier(RingComm comm,
+sim::Task<void> dissemination_barrier(Comm comm,
                                       std::uint32_t tag = 0x6000);
 
 /// Bruck-style dissemination allgather: ceil(log2 N) rounds of
 /// doubling block exchanges; every rank ends with size * block_bytes.
-sim::Task<void> dissemination_allgather(RingComm comm,
+sim::Task<void> dissemination_allgather(Comm comm,
                                         std::uint64_t block_bytes,
                                         std::uint32_t tag = 0x7000);
 
 /// Recursive-doubling allreduce of a `bytes`-sized vector: log2 N
 /// full-vector exchanges (latency-optimal for short vectors), with the
 /// standard fold to the nearest power of two for non-power-of-2 sizes.
-sim::Task<void> doubling_allreduce(RingComm comm, std::uint64_t bytes,
+sim::Task<void> doubling_allreduce(Comm comm, std::uint64_t bytes,
                                    std::uint32_t tag = 0x8000);
 
 }  // namespace pp::mp

@@ -74,7 +74,6 @@ sim::Task<void> FabricLib::recv(int src, std::uint64_t bytes,
   if (src < 0 || src >= fab_.hosts() || src == rank_) {
     throw std::invalid_argument("FabricLib::recv: bad source rank");
   }
-  (void)bytes;  // matching is by (src, tag); sizes travel with the frames
   const Key k{src, tag};
   ArrivedMsg m;
   auto it = unexpected_.find(k);
@@ -102,6 +101,15 @@ sim::Task<void> FabricLib::recv(int src, std::uint64_t bytes,
   if (audit::Auditor* aud = sim_.auditor();
       aud != nullptr && m.audit.stream != 0) {
     aud->on_deliver(m.audit, m.bytes);
+  }
+  // Matching is by (src, tag); the size travels with the frames and may
+  // be shorter than the posted receive, never longer.
+  if (m.bytes > bytes) {
+    throw std::length_error(
+        cfg_.name + "#" + std::to_string(rank_) + ": " +
+        std::to_string(m.bytes) + "-byte message from rank " +
+        std::to_string(src) + " tag " + std::to_string(tag) +
+        " truncated by a " + std::to_string(bytes) + "-byte receive");
   }
 }
 

@@ -6,7 +6,8 @@
 // (one arena descriptor per fragment, so frames crossing shard
 // boundaries never share refcounted state), receives reassemble by
 // (src, msg_seq) and match posted receives by (src, tag) with an
-// unexpected queue, exactly like the two-node libraries. A configurable
+// unexpected queue, exactly like the two-node libraries; a message
+// longer than its receive raises std::length_error. A configurable
 // delivery watchdog turns a receive starved by lossy links into
 // sim::ProtocolFailure — collectives over a faulty fabric complete or
 // fail by decision, never hang.
@@ -146,8 +147,8 @@ class FabricWorld {
   sim::Simulator& simulator(int rank) {
     return lib(rank).node().simulator();
   }
-  RingComm comm(int rank) {
-    return RingComm{&lib(rank), rank, size()};
+  Comm comm(int rank) {
+    return Comm{&lib(rank), rank, size()};
   }
 
   /// Spawns a rank's task on that rank's own shard.

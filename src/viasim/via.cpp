@@ -1,10 +1,5 @@
 #include "viasim/via.h"
 
-#include <algorithm>
-#include <cassert>
-
-#include "simcore/tracing.h"
-
 namespace pp::via {
 
 ViaPersonality ViaPersonality::giganet() {
@@ -28,509 +23,25 @@ ViaPersonality ViaPersonality::mvia_sk98lin() {
   return p;
 }
 
-ViEndpoint::ViEndpoint(sim::Simulator& sim, hw::Node& node,
-                       hw::PacketPipe& out, hw::PacketPipe& in,
-                       ViaConfig config, std::string name)
-    : sim_(sim),
-      node_(node),
-      out_(out),
-      in_(in),
-      config_(config),
-      name_(std::move(name)),
-      credits_(sim, static_cast<std::uint64_t>(
-                   config.credits > 0 ? config.credits
-                                      : config.personality.default_credits)),
-      arrivals_(sim),
-      epoch_(node.power_epoch()) {
-  // Delivery-oracle stream: one directed channel per sending endpoint.
-  // The auditor must be attached before the fabric is built (see
-  // Simulator::set_auditor); untagged messages stay stream 0.
-  if (audit::Auditor* aud = sim_.auditor()) {
-    audit_stream_ = aud->register_stream(name_);
-  }
-  sim_.spawn_daemon(rx_daemon(), name_ + ".rx");
-  // Crash/restart hooks; a run that never crashes only pays the push.
-  node_.add_power_listener([this](hw::PowerEvent e) {
-    if (e == hw::PowerEvent::kCrash) {
-      on_node_crash();
-    } else {
-      on_node_restart();
-    }
-  });
+namespace {
+
+bypass::Personality personality(const ViaConfig& c) {
+  bypass::Personality p;
+  p.post_send_cost = c.personality.doorbell_cost;
+  p.post_recv_cost = c.personality.doorbell_cost;
+  p.completion_cost = c.personality.completion_cost;
+  p.per_frag_host_cost = c.personality.per_frag_host_cost;
+  p.credits = c.credits > 0 ? c.credits : c.personality.default_credits;
+  p.rdma_threshold = c.rdma_threshold;
+  return p;
 }
 
-void ViEndpoint::on_node_crash() {
-  // NIC and bounce-buffer state dies with the host: partial reassembly,
-  // staged arrivals, queued RDMA requests and the lost-ack replay set are
-  // gone. Senders whose messages/requests were parked here must resume
-  // replaying them; pre-posted descriptors and our own send-side pending
-  // logs survive (the library re-registers them at restart).
-  trace_instant("vi-crash");
-  for (const UnexpectedMsg& u : unexpected_) {
-    if (peer_) peer_->on_unstaged(u.msg_seq);
-  }
-  unexpected_.clear();
-  for (const std::uint32_t tag : rdma_reqs_) {
-    if (peer_) peer_->on_req_unstaged(tag);
-  }
-  rdma_reqs_.clear();
-  rdma_acked_.clear();
-  partial_.clear();
-}
-
-void ViEndpoint::on_node_restart() {
-  // Re-register under the node's new power epoch: fragments stamped with
-  // the old epoch are rejected on arrival from now on.
-  epoch_ = node_.power_epoch();
-  reposts_ += posted_.size();
-  trace_instant("vi-restart");
-}
-
-void ViEndpoint::on_staged(std::uint64_t msg_seq) {
-  auto it = pending_.find(msg_seq);
-  if (it != pending_.end()) it->second.staged = true;
-}
-
-void ViEndpoint::on_unstaged(std::uint64_t msg_seq) {
-  auto it = pending_.find(msg_seq);
-  if (it == pending_.end() || !it->second.staged) return;
-  it->second.staged = false;
-  it->second.timeout = config_.delivery_timeout;  // fresh situation
-  arm_delivery_watchdog(msg_seq);
-}
-
-void ViEndpoint::on_req_staged(std::uint32_t tag) {
-  auto it = pending_reqs_.find(tag);
-  if (it != pending_reqs_.end()) it->second.staged = true;
-}
-
-void ViEndpoint::on_req_unstaged(std::uint32_t tag) {
-  auto it = pending_reqs_.find(tag);
-  if (it == pending_reqs_.end() || !it->second.staged) return;
-  it->second.staged = false;
-  it->second.timeout = config_.delivery_timeout;
-  arm_req_watchdog(tag);
-}
-
-void ViEndpoint::fail_pair(const char* reason) {
-  ViEndpoint* const ends[2] = {this, peer_};
-  for (ViEndpoint* e : ends) {
-    if (e == nullptr || e->failed_) continue;
-    e->failed_ = true;
-    e->fail_reason_ = e->name_ + ": " + reason;
-    e->trace_instant("vi-failed");
-    // Wake everything parked on this endpoint: senders blocked on
-    // credits or an RDMA ack, posted receives, request waiters. All
-    // re-check failed_ and raise DeliveryFailed.
-    e->credits_.release(1ull << 32);
-    for (PostedRecv* pr : e->posted_) pr->done->set();
-    e->posted_.clear();
-    for (sim::Trigger* t : e->rdma_ack_waiters_) t->set();
-    e->rdma_ack_waiters_.clear();
-    e->arrivals_.notify_all();
-  }
-}
-
-void ViEndpoint::trace_instant(const char* what) {
-  if (sim::TraceRecorder* t = sim_.tracer()) {
-    t->record_instant(name_, what, sim_.now());
-  }
-}
-
-sim::Task<void> ViEndpoint::transmit(Kind kind, std::uint32_t tag,
-                                     std::uint64_t msg_seq,
-                                     std::uint64_t bytes,
-                                     std::uint32_t attempt,
-                                     const audit::MsgTag& atag) {
-  const std::uint32_t mtu = out_.nic().mtu;
-  // One arena descriptor per message attempt, shared by every fragment
-  // (a refcounted view, not a clone); the fragment's own byte count is
-  // derived from the frame's dma_bytes on receive.
-  sim::PacketRef desc = sim_.packet_arena().make<Frag>();
-  Frag* f = desc.get<Frag>();
-  f->dst = peer_;
-  f->kind = kind;
-  f->tag = tag;
-  f->msg_seq = msg_seq;
-  f->msg_bytes = bytes;
-  f->attempt = attempt;
-  f->dst_epoch = peer_ != nullptr ? peer_->epoch_ : 0;
-  f->set_audit(atag);
-  // A dropped fragment must return its descriptor credit, or the
-  // endpoint strangles itself one lost frame at a time. The hook lives
-  // once in the shared descriptor and fires once per dropped fragment.
-  std::weak_ptr<char> guard = alive_;
-  desc.set_drop([this, guard] {
-    if (guard.expired()) return;
-    credits_.release(1);
-    ++frags_lost_;
-    trace_instant("frag-drop");
-  });
-  std::uint64_t left = bytes;
-  bool first = true;
-  while (first || left > 0) {
-    first = false;
-    const std::uint64_t frag = std::min<std::uint64_t>(left, mtu);
-    left -= frag;
-    co_await credits_.acquire(1);
-    if (failed_) co_return;  // poisoned grant from fail_pair()
-    if (config_.personality.per_frag_host_cost > 0) {
-      co_await node_.cpu_cost(config_.personality.per_frag_host_cost);
-    }
-    hw::Packet p;
-    p.dma_bytes = frag + config_.frag_header;
-    p.wire_bytes = frag + config_.frag_header + out_.nic().frame_overhead;
-    p.desc = desc;
-    p.fire_drop = true;  // every fragment holds one descriptor credit
-    out_.inject(std::move(p));
-  }
-}
-
-sim::Task<void> ViEndpoint::retry_message(std::uint64_t msg_seq) {
-  auto it = pending_.find(msg_seq);
-  if (it == pending_.end()) co_return;  // delivered while we were queued
-  const PendingDelivery p = it->second;
-  co_await transmit(Kind::kData, p.tag, msg_seq, p.bytes, p.attempt, p.audit);
-  arm_delivery_watchdog(msg_seq);
-}
-
-void ViEndpoint::arm_delivery_watchdog(std::uint64_t msg_seq) {
-  auto it = pending_.find(msg_seq);
-  if (it == pending_.end()) return;  // delivered (or watchdog disabled)
-  const std::uint32_t attempt = it->second.attempt;
-  std::weak_ptr<char> guard = alive_;
-  sim_.call_after(it->second.timeout, [this, guard, msg_seq, attempt] {
-    if (guard.expired() || failed_) return;
-    auto pit = pending_.find(msg_seq);
-    if (pit == pending_.end() || pit->second.attempt != attempt) return;
-    if (pit->second.staged) return;  // parked at the peer; re-armed on crash
-    if (config_.max_delivery_attempts > 0 &&
-        pit->second.attempt + 1 >= config_.max_delivery_attempts) {
-      fail_pair("delivery-attempts-exhausted");
-      return;
-    }
-    ++delivery_failures_;
-    trace_instant("delivery-retry");
-    pit->second.attempt += 1;
-    pit->second.timeout =
-        std::min(pit->second.timeout * 2, config_.delivery_timeout_max);
-    sim_.spawn(retry_message(msg_seq), name_ + ".retry");
-  });
-}
-
-sim::Task<void> ViEndpoint::retry_req(std::uint32_t tag) {
-  auto it = pending_reqs_.find(tag);
-  if (it == pending_reqs_.end()) co_return;  // acked while we were queued
-  const std::uint32_t attempt = it->second.attempt;
-  co_await transmit(Kind::kRdmaReq, tag, 0, config_.ctl_bytes, attempt);
-  arm_req_watchdog(tag);
-}
-
-void ViEndpoint::arm_req_watchdog(std::uint32_t tag) {
-  auto it = pending_reqs_.find(tag);
-  if (it == pending_reqs_.end()) return;  // acked (or watchdog disabled)
-  const std::uint32_t attempt = it->second.attempt;
-  std::weak_ptr<char> guard = alive_;
-  sim_.call_after(it->second.timeout, [this, guard, tag, attempt] {
-    if (guard.expired() || failed_) return;
-    auto rit = pending_reqs_.find(tag);
-    if (rit == pending_reqs_.end() || rit->second.attempt != attempt) return;
-    if (rit->second.staged) return;  // parked at the peer; re-armed on crash
-    if (config_.max_delivery_attempts > 0 &&
-        rit->second.attempt + 1 >= config_.max_delivery_attempts) {
-      fail_pair("rdma-req-attempts-exhausted");
-      return;
-    }
-    ++delivery_failures_;
-    trace_instant("req-retry");
-    rit->second.attempt += 1;
-    rit->second.timeout =
-        std::min(rit->second.timeout * 2, config_.delivery_timeout_max);
-    sim_.spawn(retry_req(tag), name_ + ".retry");
-  });
-}
-
-void ViEndpoint::prune_partials() {
-  // Completed markers are kept so late duplicates of a delivered message
-  // cannot re-complete it; bound their number for long streaming runs.
-  if (partial_.size() <= 4096) return;
-  for (auto it = partial_.begin();
-       it != partial_.end() && partial_.size() > 2048;) {
-    if (it->second.done) {
-      it = partial_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ViEndpoint::complete_message(std::uint32_t tag, std::uint64_t msg_seq,
-                                  std::uint64_t bytes,
-                                  const audit::MsgTag& atag) {
-  auto it = std::find_if(posted_.begin(), posted_.end(), [&](PostedRecv* p) {
-    return !p->completed && p->tag == tag;
-  });
-  if (it != posted_.end()) {
-    PostedRecv* pr = *it;
-    posted_.erase(it);
-    pr->completed = true;
-    trace_instant("complete");
-    // Consumption point (posted descriptor): the oracle verifies
-    // intact/exactly-once/FIFO here. A completion into a posted
-    // descriptor on an already-failed pair is a teardown violation.
-    if (audit::Auditor* aud = sim_.auditor()) {
-      aud->on_deliver(atag, bytes, /*after_teardown=*/failed_);
-    }
-    if (peer_) peer_->on_delivered(msg_seq);
-    pr->done->set();
-  } else {
-    trace_instant("unexpected");
-    unexpected_.push_back(UnexpectedMsg{tag, msg_seq, bytes, atag});
-    // Staged, not consumed: the sender's watchdog stands down but keeps
-    // the message replayable should this node crash before recv(). The
-    // oracle deliberately does NOT count staging as delivery — a crash
-    // may wipe this queue and the replay is correct, not a duplicate.
-    if (peer_) peer_->on_staged(msg_seq);
-    arrivals_.notify_all();
-  }
-}
-
-sim::Task<void> ViEndpoint::rx_daemon() {
-  for (;;) {
-    hw::Packet p = co_await in_.delivered().pop();
-    assert(p.desc && "foreign packet on VIA pipe");
-    const Frag* frag = p.desc.get<Frag>();
-    assert(frag->dst == this && "foreign packet on VIA pipe");
-    if (p.injected_dup) {
-      // NIC-level dedup: an injected duplicate never held a credit and
-      // must not touch protocol state.
-      trace_instant("dup-filtered");
-      continue;
-    }
-    peer_->credits_.release(1);
-    if (frag->dst_epoch != epoch_ && !config_.unsafe_skip_epoch_fence) {
-      // Addressed to a previous power epoch of this endpoint: the state
-      // it belonged to died with the node. The credit already went home;
-      // the sender's watchdogs replay under the current epoch.
-      ++stale_epoch_drops_;
-      trace_instant("stale-epoch");
-      continue;
-    }
-    if (p.corrupted) {
-      // CRC failure: the fragment is discarded; the message completes via
-      // the sender's delivery watchdog.
-      trace_instant("crc-drop");
-      continue;
-    }
-    if (config_.personality.per_frag_host_cost > 0) {
-      co_await node_.cpu_cost(config_.personality.per_frag_host_cost);
-    }
-    switch (frag->kind) {
-      case Kind::kData: {
-        PartialMsg& pm = partial_[frag->msg_seq];
-        if (pm.done || frag->attempt < pm.attempt) break;  // stale duplicate
-        if (frag->attempt > pm.attempt) {
-          // A retry superseded a partially-arrived attempt; start over.
-          pm.attempt = frag->attempt;
-          pm.sofar = 0;
-        }
-        // Fencing/CRC oracle: this fragment is being ACCEPTED into a
-        // partial message. With the rejection ladder intact neither
-        // condition can hold; an upstream bug trips it.
-        if (audit::Auditor* aud = sim_.auditor()) {
-          aud->on_accept_fragment(frag->audit_tag(), frag->dst_epoch,
-                                  epoch_, p.corrupted);
-        }
-        pm.sofar += p.dma_bytes - config_.frag_header;
-        if (pm.sofar == frag->msg_bytes) {
-          if (config_.delivery_timeout > 0) {
-            pm.done = true;
-            prune_partials();
-          } else {
-            partial_.erase(frag->msg_seq);
-          }
-          rdma_acked_.erase(frag->tag);
-          complete_message(frag->tag, frag->msg_seq, frag->msg_bytes,
-                           frag->audit_tag());
-        }
-        break;
-      }
-      case Kind::kRdmaReq:
-        if (std::find(rdma_reqs_.begin(), rdma_reqs_.end(), frag->tag) !=
-            rdma_reqs_.end()) {
-          // Retransmitted request whose original is still queued.
-          trace_instant("dup-req");
-          break;
-        }
-        if (rdma_acked_.count(frag->tag) > 0) {
-          // We already answered this request but the ack was lost; answer
-          // again without re-posting the receive.
-          trace_instant("ack-resend");
-          sim_.spawn(
-              transmit(Kind::kRdmaAck, frag->tag, 0, config_.ctl_bytes, 0),
-              name_ + ".ack");
-          break;
-        }
-        if (node_.crash_count() > 0 &&
-            std::find_if(posted_.begin(), posted_.end(),
-                         [&](PostedRecv* pr) {
-                           return !pr->completed && pr->tag == frag->tag;
-                         }) != posted_.end()) {
-          // A crash wiped the lost-ack replay set, but the posted receive
-          // proves this handshake already advanced past the request on
-          // our side: our ack (or its memory) died with the node. Re-ack.
-          trace_instant("ack-resend");
-          rdma_acked_.insert(frag->tag);
-          sim_.spawn(
-              transmit(Kind::kRdmaAck, frag->tag, 0, config_.ctl_bytes, 0),
-              name_ + ".ack");
-          break;
-        }
-        rdma_reqs_.push_back(frag->tag);
-        // Parked until recv() consumes it; the sender's request watchdog
-        // stands down meanwhile (re-armed on consumption or our crash).
-        if (peer_) peer_->on_req_staged(frag->tag);
-        arrivals_.notify_all();
-        break;
-      case Kind::kRdmaAck: {
-        if (config_.delivery_timeout > 0 &&
-            pending_reqs_.erase(frag->tag) == 0) {
-          // Duplicate ack for a request already answered; the FIFO waiter
-          // (if any) belongs to a different handshake.
-          trace_instant("stale-ack");
-          break;
-        }
-        if (rdma_ack_waiters_.empty()) {
-          trace_instant("stale-ack");
-          break;
-        }
-        sim::Trigger* t = rdma_ack_waiters_.front();
-        rdma_ack_waiters_.pop_front();
-        t->set();
-        break;
-      }
-    }
-  }
-}
-
-sim::Task<void> ViEndpoint::send(std::uint64_t bytes, std::uint32_t tag) {
-  if (failed_) throw DeliveryFailed(fail_reason_);
-  co_await node_.cpu_cost(config_.personality.doorbell_cost);
-  trace_instant("doorbell");
-  if (bytes <= config_.rdma_threshold) {
-    const std::uint64_t seq = next_msg_seq_++;
-    audit::MsgTag atag;
-    if (audit::Auditor* aud = sim_.auditor()) {
-      atag = aud->on_inject(audit_stream_, bytes);
-    }
-    if (config_.delivery_timeout > 0) {
-      // Each new message starts from the BASE timeout: backoff is
-      // per-message state, never inherited across messages.
-      pending_[seq] = PendingDelivery{bytes, tag, 0,
-                                      config_.delivery_timeout, false, atag};
-    }
-    co_await transmit(Kind::kData, tag, seq, bytes, 0, atag);
-    if (failed_) throw DeliveryFailed(fail_reason_);
-    arm_delivery_watchdog(seq);
-    co_return;
-  }
-  // RDMA write: exchange the target address, then place the data.
-  rdma_transfers_ += 1;
-  trace_instant("rdma-req");
-  sim::Trigger ack(sim_);
-  rdma_ack_waiters_.push_back(&ack);
-  if (config_.delivery_timeout > 0) {
-    pending_reqs_[tag] = PendingReq{0, config_.delivery_timeout, false};
-  }
-  co_await transmit(Kind::kRdmaReq, tag, 0, config_.ctl_bytes, 0);
-  arm_req_watchdog(tag);
-  co_await ack.wait();
-  if (failed_) throw DeliveryFailed(fail_reason_);
-  co_await node_.cpu_cost(config_.personality.doorbell_cost);
-  trace_instant("doorbell");
-  const std::uint64_t seq = next_msg_seq_++;
-  audit::MsgTag atag;
-  if (audit::Auditor* aud = sim_.auditor()) {
-    atag = aud->on_inject(audit_stream_, bytes);
-  }
-  if (config_.delivery_timeout > 0) {
-    pending_[seq] =
-        PendingDelivery{bytes, tag, 0, config_.delivery_timeout, false, atag};
-  }
-  co_await transmit(Kind::kData, tag, seq, bytes, 0, atag);
-  if (failed_) throw DeliveryFailed(fail_reason_);
-  arm_delivery_watchdog(seq);
-}
-
-sim::Task<void> ViEndpoint::recv(std::uint64_t bytes, std::uint32_t tag) {
-  if (failed_) throw DeliveryFailed(fail_reason_);
-  co_await node_.cpu_cost(config_.personality.doorbell_cost);
-  bool staged = false;
-  if (bytes > config_.rdma_threshold) {
-    // Wait for the address request, answer it, then wait for the data.
-    while (true) {
-      auto rit = std::find(rdma_reqs_.begin(), rdma_reqs_.end(), tag);
-      if (rit != rdma_reqs_.end()) {
-        rdma_reqs_.erase(rit);
-        // The request leaves its parking spot: the sender's watchdog
-        // takes over again (covers a lost ack below).
-        if (peer_) peer_->on_req_unstaged(tag);
-        break;
-      }
-      if (failed_) throw DeliveryFailed(fail_reason_);
-      co_await arrivals_.wait();
-    }
-    trace_instant("post-recv");
-    PostedRecv pr;
-    pr.tag = tag;
-    pr.done = std::make_unique<sim::Trigger>(sim_);
-    posted_.push_back(&pr);
-    trace_instant("rdma-ack");
-    rdma_acked_.insert(tag);  // until the data completes: lost-ack replay
-    co_await transmit(Kind::kRdmaAck, tag, 0, config_.ctl_bytes, 0);
-    co_await pr.done->wait();
-    if (failed_) throw DeliveryFailed(fail_reason_);
-  } else {
-    auto uit =
-        std::find_if(unexpected_.begin(), unexpected_.end(),
-                     [&](const UnexpectedMsg& u) { return u.tag == tag; });
-    if (uit != unexpected_.end()) {
-      // Now the message is truly consumed: the sender may forget it.
-      if (audit::Auditor* aud = sim_.auditor()) {
-        aud->on_deliver(uit->audit, uit->bytes, /*after_teardown=*/failed_);
-      }
-      if (peer_) peer_->on_delivered(uit->msg_seq);
-      unexpected_.erase(uit);
-      staged = true;  // arrived before a descriptor was posted
-    } else {
-      trace_instant("post-recv");
-      PostedRecv pr;
-      pr.tag = tag;
-      pr.done = std::make_unique<sim::Trigger>(sim_);
-      posted_.push_back(&pr);
-      co_await pr.done->wait();
-      if (failed_) throw DeliveryFailed(fail_reason_);
-    }
-  }
-  co_await node_.cpu_cost(config_.personality.completion_cost);
-  if (staged) {
-    staged_bytes_ += bytes;
-    trace_instant("staging-copy");
-    co_await node_.staging_copy(bytes);
-  }
-}
+}  // namespace
 
 ViaFabric::ViaFabric(hw::Cluster& cluster, hw::Node& a, hw::Node& b,
                      const hw::NicConfig& nic, const hw::LinkConfig& link,
                      ViaConfig config)
-    : duplex_(cluster.connect(a, b, nic, link)) {
-  a_ = std::make_unique<ViEndpoint>(cluster.simulator(), a, duplex_.forward,
-                                    duplex_.backward, config, "via.a");
-  b_ = std::make_unique<ViEndpoint>(cluster.simulator(), b,
-                                    duplex_.backward, duplex_.forward,
-                                    config, "via.b");
-  a_->peer_ = b_.get();
-  b_->peer_ = a_.get();
-}
+    : link_(cluster, a, b, nic, link, config, personality(config),
+            personality(config), "via") {}
 
 }  // namespace pp::via

@@ -12,22 +12,16 @@
 // Transfers at or below the RDMA threshold use send/recv descriptors;
 // larger ones do an RDMA write after an address-exchange handshake — the
 // "small dip at 16 kB ... at the RDMA threshold" in Figure 5.
+//
+// The descriptors, matching, handshake, delivery watchdog and crash
+// handling are the shared OS-bypass core (bypass/endpoint.h); VIA
+// contributes its doorbell, completion and per-fragment host costs, its
+// credits and its RDMA threshold.
 #pragma once
 
-#include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 
-#include "audit/audit.h"
-#include "simcore/simulator.h"
-#include "simcore/sync.h"
-#include "simcore/task.h"
-#include "simhw/cluster.h"
-#include "simhw/node.h"
-#include "simhw/pipe.h"
+#include "bypass/endpoint.h"
 
 namespace pp::via {
 
@@ -49,241 +43,32 @@ struct ViaPersonality {
   static ViaPersonality mvia_sk98lin();
 };
 
-struct ViaConfig {
+/// VIA settings; the delivery watchdog and epoch-fence settings come from
+/// bypass::EndpointConfig.
+struct ViaConfig : bypass::EndpointConfig {
   ViaPersonality personality = ViaPersonality::giganet();
   /// Send/recv descriptors above this size switch to RDMA write.
   std::uint64_t rdma_threshold = 16 * 1024;
   /// Descriptor credits (fragments in flight); 0 = personality default.
   int credits = 0;
-  std::uint32_t frag_header = 8;
-  /// Bytes of the RDMA address-exchange control message.
-  std::uint32_t ctl_bytes = 64;
-  /// Delivery watchdog: when nonzero, lost data fragments and lost RDMA
-  /// request/ack control messages are retransmitted after this timeout
-  /// (doubling per retry up to delivery_timeout_max). 0 disables — right
-  /// for the paper's lossless fabrics; enable under fault injection, or
-  /// one lost fragment wedges the endpoint.
-  sim::SimTime delivery_timeout = 0;
-  sim::SimTime delivery_timeout_max = sim::milliseconds(10.0);
-  /// Delivery attempts (original + watchdog retries) per message or RDMA
-  /// handshake before the endpoint pair is declared failed and blocked
-  /// send()/recv() calls raise DeliveryFailed. 0 = retry forever.
-  std::uint32_t max_delivery_attempts = 0;
-  /// TEST ONLY: disables the receive-side power-epoch fence so fragments
-  /// from a dead epoch are accepted — the deliberate protocol bug the
-  /// audit oracle (audit/audit.h) must catch. Never set outside tests.
-  bool unsafe_skip_epoch_fence = false;
-};
-
-/// Raised by send()/recv() once an endpoint pair exhausted
-/// `ViaConfig::max_delivery_attempts` (e.g. the peer crashed permanently).
-/// Derives from sim::ProtocolFailure so sweep executors classify the run
-/// `failed` rather than errored or hung.
-class DeliveryFailed : public sim::ProtocolFailure {
- public:
-  explicit DeliveryFailed(const std::string& what)
-      : sim::ProtocolFailure(what) {}
 };
 
 /// One VI endpoint; create a connected pair with ViaFabric.
-class ViEndpoint {
- public:
-  ViEndpoint(sim::Simulator& sim, hw::Node& node, hw::PacketPipe& out,
-             hw::PacketPipe& in, ViaConfig config, std::string name);
+using ViEndpoint = bypass::Endpoint;
 
-  sim::Task<void> send(std::uint64_t bytes, std::uint32_t tag);
-  sim::Task<void> recv(std::uint64_t bytes, std::uint32_t tag);
-
-  hw::Node& node() { return node_; }
-  const ViaConfig& config() const { return config_; }
-  std::uint64_t rdma_transfers() const { return rdma_transfers_; }
-
-  /// Bytes that arrived before a descriptor was posted and paid a
-  /// staging copy out of the VIA bounce buffer.
-  std::uint64_t staged_bytes() const { return staged_bytes_; }
-
-  /// Watchdog retransmissions (lost data messages or RDMA handshake
-  /// control frames recovered by timeout).
-  std::uint64_t delivery_failures() const { return delivery_failures_; }
-
-  /// Fragments of ours that fault injection discarded (credits reclaimed).
-  std::uint64_t frags_lost() const { return frags_lost_; }
-
-  /// Frames dropped on this endpoint's outbound pipe (all causes).
-  std::uint64_t wire_drops() const { return out_.packets_dropped(); }
-
-  /// Power epoch this endpoint is registered under (tracks the node's;
-  /// stale-epoch arrivals are rejected after their credit is returned).
-  std::uint32_t epoch() const { return epoch_; }
-
-  /// Pre-posted receive descriptors re-registered across restarts.
-  std::uint64_t reposts() const { return reposts_; }
-
-  /// Fragments rejected for carrying a previous power epoch.
-  std::uint64_t stale_epoch_drops() const { return stale_epoch_drops_; }
-
-  /// True once the pair exhausted max_delivery_attempts.
-  bool failed() const { return failed_; }
-
- private:
-  friend class ViaFabric;
-
-  enum class Kind : std::uint8_t { kData, kRdmaReq, kRdmaAck };
-
-  /// Per-message descriptor, one arena slot shared by every fragment of
-  /// the attempt (the fragment's own byte count is derived from the
-  /// frame's dma_bytes on receive).
-  struct Frag {
-    ViEndpoint* dst = nullptr;
-    Kind kind = Kind::kData;
-    std::uint32_t tag = 0;
-    std::uint32_t attempt = 0;  ///< 0 = original send, else retry number
-    std::uint64_t msg_seq = 0;  ///< per-sender unique data-message number
-    std::uint64_t msg_bytes = 0;
-    /// Destination endpoint's power epoch at injection time; stale-epoch
-    /// fragments are rejected (the watchdog replays under the new epoch).
-    std::uint32_t dst_epoch = 0;
-    /// Delivery-oracle identity (audit/audit.h), laid out as scalars so
-    /// the descriptor still fits one 64-byte arena slot. Stream 0 = no
-    /// auditor; control fragments (kRdmaReq/kRdmaAck) stay untagged.
-    std::uint32_t audit_stream = 0;
-    std::uint64_t audit_seq = 0;
-    std::uint64_t audit_check = 0;
-
-    audit::MsgTag audit_tag() const noexcept {
-      return audit::MsgTag{audit_stream, audit_seq, audit_check};
-    }
-    void set_audit(const audit::MsgTag& t) noexcept {
-      audit_stream = t.stream;
-      audit_seq = t.seq;
-      audit_check = t.check;
-    }
-  };
-
-  struct PartialMsg {
-    std::uint32_t attempt = 0;
-    std::uint64_t sofar = 0;
-    bool done = false;  ///< completed; late duplicates must be ignored
-  };
-
-  struct PendingDelivery {
-    std::uint64_t bytes = 0;
-    std::uint32_t tag = 0;
-    std::uint32_t attempt = 0;
-    sim::SimTime timeout = 0;  ///< next watchdog interval (backed off)
-    /// Parked in the peer's unexpected queue: stand the watchdog down
-    /// (slow consumer != delivery failure) but keep the entry replayable
-    /// should the peer crash before consuming it.
-    bool staged = false;
-    audit::MsgTag audit;  ///< replayed verbatim by watchdog retries
-  };
-
-  struct PendingReq {
-    std::uint32_t attempt = 0;
-    sim::SimTime timeout = 0;
-    /// Parked in the peer's request queue awaiting its recv(); see
-    /// PendingDelivery::staged.
-    bool staged = false;
-  };
-
-  struct PostedRecv {
-    std::uint32_t tag = 0;
-    bool completed = false;
-    std::unique_ptr<sim::Trigger> done;
-  };
-
-  /// An arrival staged in the unexpected queue (completed, unmatched).
-  struct UnexpectedMsg {
-    std::uint32_t tag = 0;
-    std::uint64_t msg_seq = 0;
-    std::uint64_t bytes = 0;
-    audit::MsgTag audit;
-  };
-
-  sim::Task<void> rx_daemon();
-  sim::Task<void> transmit(Kind kind, std::uint32_t tag,
-                           std::uint64_t msg_seq, std::uint64_t bytes,
-                           std::uint32_t attempt,
-                           const audit::MsgTag& atag = {});
-  void complete_message(std::uint32_t tag, std::uint64_t msg_seq,
-                        std::uint64_t bytes, const audit::MsgTag& atag);
-  void trace_instant(const char* what);
-
-  sim::Task<void> retry_message(std::uint64_t msg_seq);
-  void arm_delivery_watchdog(std::uint64_t msg_seq);
-  sim::Task<void> retry_req(std::uint32_t tag);
-  void arm_req_watchdog(std::uint32_t tag);
-  /// Peer-side notification that data message `msg_seq` was consumed.
-  void on_delivered(std::uint64_t msg_seq) { pending_.erase(msg_seq); }
-  /// Peer-side staging notifications; see PendingDelivery::staged.
-  void on_staged(std::uint64_t msg_seq);
-  void on_unstaged(std::uint64_t msg_seq);
-  void on_req_staged(std::uint32_t tag);
-  void on_req_unstaged(std::uint32_t tag);
-  void fail_pair(const char* reason);
-  void on_node_crash();
-  void on_node_restart();
-  void prune_partials();
-
-  sim::Simulator& sim_;
-  hw::Node& node_;
-  hw::PacketPipe& out_;
-  hw::PacketPipe& in_;
-  ViaConfig config_;
-  std::string name_;
-
-  sim::ByteSemaphore credits_;
-  ViEndpoint* peer_ = nullptr;
-
-  // Send side.
-  std::uint32_t audit_stream_ = 0;  ///< delivery-oracle stream (0 = off)
-  std::uint64_t next_msg_seq_ = 0;
-  std::map<std::uint64_t, PendingDelivery> pending_;  // msg_seq -> watchdog
-  std::map<std::uint32_t, PendingReq> pending_reqs_;  // tag -> req watchdog
-  std::uint64_t delivery_failures_ = 0;
-  std::uint64_t frags_lost_ = 0;
-
-  // Receive side.
-  std::map<std::uint64_t, PartialMsg> partial_;  // msg_seq -> progress
-  std::deque<PostedRecv*> posted_;
-  std::deque<UnexpectedMsg> unexpected_;
-  // RDMA handshakes: requests seen / acks awaited, FIFO per endpoint.
-  std::deque<std::uint32_t> rdma_reqs_;
-  std::deque<sim::Trigger*> rdma_ack_waiters_;
-  /// Tags we have answered with an ack whose data has not yet completed;
-  /// a duplicate request for one of these means the ack was lost and is
-  /// simply re-sent.
-  std::set<std::uint32_t> rdma_acked_;
-  sim::Signal arrivals_;
-  std::uint64_t rdma_transfers_ = 0;
-  std::uint64_t staged_bytes_ = 0;
-
-  // Crash/restart state.
-  std::uint32_t epoch_ = 1;  ///< synced to the node's power epoch
-  std::uint64_t reposts_ = 0;
-  std::uint64_t stale_epoch_drops_ = 0;
-  bool failed_ = false;
-  std::string fail_reason_;
-
-  /// Liveness token: watchdog timers and drop callbacks can outlive a
-  /// torn-down endpoint; they hold a weak handle and become no-ops.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(1);
-};
-
-/// Builds a VIA link between two nodes and a connected endpoint pair.
+/// Builds a VIA link between two nodes and a connected endpoint pair
+/// ("via.a", "via.b").
 class ViaFabric {
  public:
   ViaFabric(hw::Cluster& cluster, hw::Node& a, hw::Node& b,
             const hw::NicConfig& nic, const hw::LinkConfig& link,
             ViaConfig config = {});
 
-  ViEndpoint& end_a() { return *a_; }
-  ViEndpoint& end_b() { return *b_; }
+  ViEndpoint& end_a() { return link_.a(); }
+  ViEndpoint& end_b() { return link_.b(); }
 
  private:
-  hw::Cluster::Duplex duplex_;
-  std::unique_ptr<ViEndpoint> a_;
-  std::unique_ptr<ViEndpoint> b_;
+  bypass::Link link_;
 };
 
 }  // namespace pp::via

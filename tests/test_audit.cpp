@@ -2,11 +2,11 @@
 // the ledger unit semantics (every violation kind, every run outcome),
 // the audited chaos scenarios (null plans balance exactly, crash/restart
 // recovery stays violation-free, permanent crashes close the ledger as
-// failed-by-decision), the injected-bug acceptance pipeline (a GM bed
-// with its epoch fence deliberately disabled must be caught by the
-// oracle and ddmin-minimized to the crash rule), and the observe-only
-// contract: audit-on runs are bit-identical to audit-off runs in
-// canonical sweep JSON and full Chrome-JSON traces.
+// failed-by-decision), the injected-bug acceptance pipeline (GM and VIA
+// beds with their epoch fence deliberately disabled must be caught by
+// the oracle; the GM reproducer ddmin-minimizes to the crash rule), and
+// the observe-only contract: audit-on runs are bit-identical to
+// audit-off runs in canonical sweep JSON and full Chrome-JSON traces.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include "gmsim/gm.h"
 #include "mp/adapters.h"
 #include "mp/gm_mpi.h"
+#include "mp/via_mpi.h"
 #include "mp/mpich.h"
 #include "mp/testbed.h"
 #include "netpipe/runner.h"
@@ -33,6 +34,7 @@
 #include "sweep/json_report.h"
 #include "sweep/sweep.h"
 #include "tcpsim/tuning.h"
+#include "viasim/via.h"
 
 namespace pp {
 namespace {
@@ -355,20 +357,24 @@ TEST(AuditChaos, AuditedVerdictsMatchUnauditedOnes) {
 
 // ---- The injected bug: a disabled epoch fence ------------------------------
 
-// A GM bed whose receive-side power-epoch fence is optionally disabled
-// (GmConfig::unsafe_skip_epoch_fence — the deliberate protocol bug), on
-// the crash timing where a watchdog-retry fragment train straddles the
-// receiver's restart: the trailing fragments arrive stamped with the
-// dead epoch. The intact fence rejects them (stale_epoch_drops); the
-// broken bed accepts them, which only the oracle can see.
-struct BuggyGmOutcome {
+// A GM or VIA bed whose receive-side power-epoch fence is optionally
+// disabled (bypass::EndpointConfig::unsafe_skip_epoch_fence — the
+// deliberate protocol bug), on the crash timing where a watchdog-retry
+// fragment train straddles the receiver's restart: the trailing
+// fragments arrive stamped with the dead epoch. The intact fence rejects
+// them (stale_epoch_drops); the broken bed accepts them, which only the
+// oracle can see.
+enum class BypassStack { kGm, kVia };
+
+struct BuggyOutcome {
   audit::Summary summary;
   std::uint64_t stale_drops = 0;
   bool completed = false;
 };
 
-BuggyGmOutcome run_buggy_gm(const faults::FaultPlan& plan, bool skip_fence) {
-  BuggyGmOutcome out;
+BuggyOutcome run_buggy(BypassStack stack, const faults::FaultPlan& plan,
+                       bool skip_fence) {
+  BuggyOutcome out;
   audit::Auditor aud(faults::derive_seed(plan.seed, "audit"));
   aud.set_fault_plan(faults::to_text(plan));
   sim::Simulator s;
@@ -376,66 +382,90 @@ BuggyGmOutcome run_buggy_gm(const faults::FaultPlan& plan, bool skip_fence) {
   hw::Cluster c(s);
   auto& a = c.add_node(presets::pentium4_pc());
   auto& b = c.add_node(presets::pentium4_pc());
-  gm::GmConfig gc;
-  gc.delivery_timeout = sim::microseconds(500.0);
-  gc.max_delivery_attempts = 10;
-  gc.unsafe_skip_epoch_fence = skip_fence;
-  gm::GmFabric fab(c, a, b, presets::myrinet_pci64a(), presets::switched(),
-                   gc);
+  bypass::EndpointConfig recovery;
+  recovery.delivery_timeout = sim::microseconds(500.0);
+  recovery.max_delivery_attempts = 10;
+  recovery.unsafe_skip_epoch_fence = skip_fence;
+  std::unique_ptr<gm::GmFabric> gm_fab;
+  std::unique_ptr<via::ViaFabric> via_fab;
+  std::unique_ptr<netpipe::Transport> ta, tb;
+  if (stack == BypassStack::kGm) {
+    gm::GmConfig gc;
+    static_cast<bypass::EndpointConfig&>(gc) = recovery;
+    gm_fab = std::make_unique<gm::GmFabric>(c, a, b, presets::myrinet_pci64a(),
+                                            presets::switched(), gc);
+    ta = std::make_unique<mp::GmTransport>(gm_fab->port_a());
+    tb = std::make_unique<mp::GmTransport>(gm_fab->port_b());
+  } else {
+    via::ViaConfig vc;
+    static_cast<bypass::EndpointConfig&>(vc) = recovery;
+    via_fab = std::make_unique<via::ViaFabric>(
+        c, a, b, presets::giganet_clan(), presets::switched(), vc);
+    ta = std::make_unique<mp::ViaTransport>(via_fab->end_a());
+    tb = std::make_unique<mp::ViaTransport>(via_fab->end_b());
+  }
   faults::apply(plan, c);
-  mp::GmTransport ta(fab.port_a()), tb(fab.port_b());
   try {
     netpipe::RunResult r =
-        netpipe::run_netpipe(s, ta, tb, chaos::chaos_run_options());
+        netpipe::run_netpipe(s, *ta, *tb, chaos::chaos_run_options());
     if (r.audit) out.summary = *r.audit;
     out.completed = true;
   } catch (const sim::ProtocolFailure&) {
     out.summary = aud.finalize(audit::RunOutcome::kFailed);
   }
-  out.stale_drops = fab.port_b().stale_epoch_drops();
+  out.stale_drops = gm_fab ? gm_fab->port_b().stale_epoch_drops()
+                           : via_fab->end_b().stale_epoch_drops();
   return out;
 }
 
-// Receiver crash at 500 us with a 510 us downtime: the sender's delivery
-// watchdog (500 us) fires during the blackout and its retry is on the
-// wire when the node comes back — the stale-fragment race the fence
-// exists for.
-faults::FaultPlan fence_race_plan() {
+// Receiver crash with a 510 us downtime: the sender's delivery watchdog
+// (500 us) fires during the blackout and its retry is on the wire when
+// the node comes back — the stale-fragment race the fence exists for.
+// The crash lands at 500 us on GM. On VIA a crash at 500 us leaves no
+// retry spanning the restart (found by sweeping the crash instant), so
+// VIA's bed crashes at 600 us.
+faults::FaultPlan fence_race_plan(BypassStack stack = BypassStack::kGm) {
   faults::FaultPlan plan;
   plan.seed = 11;
   faults::HostCrashConfig cc;
-  cc.at = sim::microseconds(500.0);
+  cc.at = sim::microseconds(stack == BypassStack::kGm ? 500.0 : 600.0);
   cc.downtime = sim::microseconds(510.0);
   plan.add_crash(1, cc);
   return plan;
 }
 
 TEST(AuditOracle, IntactFenceDropsTheStaleFragmentCleanly) {
-  const BuggyGmOutcome got = run_buggy_gm(fence_race_plan(), false);
-  // Negative control: the race fires (the fence really had work to do)
-  // and the oracle stays silent.
-  EXPECT_TRUE(got.completed);
-  EXPECT_GT(got.stale_drops, 0u);
-  EXPECT_EQ(got.summary.violations, 0u) << audit::report_text(got.summary);
-  EXPECT_EQ(got.summary.injected,
-            got.summary.delivered + got.summary.failed_by_decision);
+  for (BypassStack stack : {BypassStack::kGm, BypassStack::kVia}) {
+    SCOPED_TRACE(stack == BypassStack::kGm ? "gm" : "via");
+    const BuggyOutcome got = run_buggy(stack, fence_race_plan(stack), false);
+    // Negative control: the race fires (the fence really had work to do)
+    // and the oracle stays silent.
+    EXPECT_TRUE(got.completed);
+    EXPECT_GT(got.stale_drops, 0u);
+    EXPECT_EQ(got.summary.violations, 0u) << audit::report_text(got.summary);
+    EXPECT_EQ(got.summary.injected,
+              got.summary.delivered + got.summary.failed_by_decision);
+  }
 }
 
 TEST(AuditOracle, SkippedFenceIsCaughtAsStaleEpochDelivery) {
-  const BuggyGmOutcome got = run_buggy_gm(fence_race_plan(), true);
-  // The counters look fine — the run even completes — but the oracle
-  // sees the stale acceptance.
-  ASSERT_TRUE(got.summary.has_violations());
-  bool stale = false;
-  for (const audit::Violation& v : got.summary.reports) {
-    if (v.kind == audit::ViolationKind::kStaleEpochDelivery) stale = true;
+  for (BypassStack stack : {BypassStack::kGm, BypassStack::kVia}) {
+    SCOPED_TRACE(stack == BypassStack::kGm ? "gm" : "via");
+    const BuggyOutcome got = run_buggy(stack, fence_race_plan(stack), true);
+    // The counters look fine — the run even completes — but the oracle
+    // sees the stale acceptance.
+    ASSERT_TRUE(got.summary.has_violations());
+    bool stale = false;
+    for (const audit::Violation& v : got.summary.reports) {
+      if (v.kind == audit::ViolationKind::kStaleEpochDelivery) stale = true;
+    }
+    EXPECT_TRUE(stale) << audit::report_text(got.summary);
+    // The report is structured and echoes the fault plan for replay.
+    const std::string text = audit::report_text(got.summary);
+    EXPECT_NE(text.find("stale-epoch-delivery"), std::string::npos);
+    EXPECT_NE(text.find("fault plan:"), std::string::npos);
+    EXPECT_NE(text.find("crash"), std::string::npos);
   }
-  EXPECT_TRUE(stale) << audit::report_text(got.summary);
-  // The report is structured and echoes the fault plan for replay.
-  const std::string text = audit::report_text(got.summary);
-  EXPECT_NE(text.find("stale-epoch-delivery"), std::string::npos);
-  EXPECT_NE(text.find("fault plan:"), std::string::npos);
-  EXPECT_NE(text.find("crash"), std::string::npos);
 }
 
 TEST(AuditOracle, ViolatingPlanMinimizesToTheCrashRule) {
@@ -454,7 +484,8 @@ TEST(AuditOracle, ViolatingPlanMinimizesToTheCrashRule) {
   plan.add_nic("ga620", nf);
 
   const auto violates = [](const faults::FaultPlan& candidate) {
-    return run_buggy_gm(candidate, true).summary.has_violations();
+    return run_buggy(BypassStack::kGm, candidate, true)
+        .summary.has_violations();
   };
   ASSERT_TRUE(violates(plan));
   const faults::MinimizeResult r = faults::minimize(plan, violates);

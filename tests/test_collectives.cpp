@@ -29,9 +29,9 @@ RingWorld make_ring(int n) {
 }
 
 template <typename L>
-RingComm comm_for(std::vector<std::unique_ptr<L>>& libs, int rank) {
-  return RingComm{libs[static_cast<std::size_t>(rank)].get(), rank,
-                  static_cast<int>(libs.size())};
+Comm comm_for(std::vector<std::unique_ptr<L>>& libs, int rank) {
+  return Comm{libs[static_cast<std::size_t>(rank)].get(), rank,
+              static_cast<int>(libs.size())};
 }
 
 TEST(RingWorld, BuildsConnectedNeighbours) {
@@ -58,7 +58,7 @@ TEST(Barrier, NoRankLeavesBeforeTheLastArrives) {
   std::vector<sim::SimTime> entered(4), left(4);
   for (int i = 0; i < 4; ++i) {
     world.sim.spawn(
-        [](RingWorld& w, RingComm comm, sim::SimTime& in,
+        [](RingWorld& w, Comm comm, sim::SimTime& in,
            sim::SimTime& out) -> sim::Task<void> {
           // Stagger arrivals: rank i shows up at i * 2 ms.
           co_await w.sim.delay(sim::milliseconds(2.0 * comm.rank));
@@ -84,7 +84,7 @@ TEST(Broadcast, DeliversFromEveryRoot) {
     int completed = 0;
     for (int i = 0; i < 3; ++i) {
       world.sim.spawn(
-          [](RingComm comm, int root, int& done) -> sim::Task<void> {
+          [](Comm comm, int root, int& done) -> sim::Task<void> {
             co_await ring_broadcast(comm, root, 300000);
             ++done;
           }(comm_for(libs, i), root, completed),
@@ -118,7 +118,7 @@ TEST(Broadcast, PipeliningKeepsLargeBroadcastsNearPointToPoint) {
     auto libs = world.build<MpLite>();
     for (int i = 0; i < 4; ++i) {
       world.sim.spawn(
-          [](RingComm comm) -> sim::Task<void> {
+          [](Comm comm) -> sim::Task<void> {
             co_await ring_broadcast(comm, 0, 1 << 20);
           }(comm_for(libs, i)),
           "rank" + std::to_string(i));
@@ -136,7 +136,7 @@ TEST(Allreduce, CompletesOnAllRanksForVariousSizes) {
     int completed = 0;
     for (int i = 0; i < 4; ++i) {
       world.sim.spawn(
-          [](RingComm comm, std::uint64_t n, int& done) -> sim::Task<void> {
+          [](Comm comm, std::uint64_t n, int& done) -> sim::Task<void> {
             co_await ring_allreduce(comm, n);
             ++done;
           }(comm_for(libs, i), bytes, completed),
@@ -153,7 +153,7 @@ TEST(Allreduce, BandwidthOptimalNotLinearInRanks) {
     auto libs = world.build<MpLite>();
     for (int i = 0; i < n; ++i) {
       world.sim.spawn(
-          [](RingComm comm) -> sim::Task<void> {
+          [](Comm comm) -> sim::Task<void> {
             co_await ring_allreduce(comm, 2 << 20);
           }(comm_for(libs, i)),
           "rank" + std::to_string(i));
@@ -172,7 +172,7 @@ TEST(Allgather, CompletesAndScalesWithBlockCount) {
   int completed = 0;
   for (int i = 0; i < 4; ++i) {
     world.sim.spawn(
-        [](RingComm comm, int& done) -> sim::Task<void> {
+        [](Comm comm, int& done) -> sim::Task<void> {
           co_await ring_allgather(comm, 64 << 10);
           ++done;
         }(comm_for(libs, i), completed),
@@ -190,7 +190,7 @@ TEST(Collectives, WorkOverMpichToo) {
   int completed = 0;
   for (int i = 0; i < 3; ++i) {
     world.sim.spawn(
-        [](RingComm comm, int& done) -> sim::Task<void> {
+        [](Comm comm, int& done) -> sim::Task<void> {
           co_await ring_barrier(comm);
           co_await ring_broadcast(comm, 0, 500000);
           co_await ring_allreduce(comm, 200000);
@@ -212,7 +212,7 @@ TEST_P(RingSizes, BarrierAndAllreduceComplete) {
   int completed = 0;
   for (int i = 0; i < n; ++i) {
     world.sim.spawn(
-        [](RingComm comm, int& done) -> sim::Task<void> {
+        [](Comm comm, int& done) -> sim::Task<void> {
           co_await ring_barrier(comm);
           co_await ring_allreduce(comm, 123457);
           co_await ring_barrier(comm);
@@ -231,7 +231,7 @@ INSTANTIATE_TEST_SUITE_P(Rings, RingSizes, ::testing::Values(2, 3, 4, 5, 8));
 // ---------------------------------------------------------------------------
 
 TEST(Validation, NullLibraryThrowsAtTheCallSite) {
-  const RingComm bad{nullptr, 0, 4};
+  const Comm bad{nullptr, 0, 4};
   EXPECT_THROW(ring_barrier(bad), std::invalid_argument);
   EXPECT_THROW(ring_broadcast(bad, 0, 100), std::invalid_argument);
   EXPECT_THROW(ring_allreduce(bad, 100), std::invalid_argument);
@@ -246,23 +246,23 @@ TEST(Validation, BadSizeAndRankThrow) {
   RingWorld world = make_ring(2);
   auto libs = world.build<MpLite>();
   Library* lib = libs[0].get();
-  EXPECT_THROW(ring_barrier(RingComm{lib, 0, 0}), std::invalid_argument);
-  EXPECT_THROW(ring_barrier(RingComm{lib, 0, -3}), std::invalid_argument);
-  EXPECT_THROW(ring_barrier(RingComm{lib, 2, 2}), std::invalid_argument);
-  EXPECT_THROW(ring_barrier(RingComm{lib, -1, 2}), std::invalid_argument);
-  EXPECT_THROW(doubling_allreduce(RingComm{lib, 5, 2}, 64),
+  EXPECT_THROW(ring_barrier(Comm{lib, 0, 0}), std::invalid_argument);
+  EXPECT_THROW(ring_barrier(Comm{lib, 0, -3}), std::invalid_argument);
+  EXPECT_THROW(ring_barrier(Comm{lib, 2, 2}), std::invalid_argument);
+  EXPECT_THROW(ring_barrier(Comm{lib, -1, 2}), std::invalid_argument);
+  EXPECT_THROW(doubling_allreduce(Comm{lib, 5, 2}, 64),
                std::invalid_argument);
   // Roots are validated too.
-  EXPECT_THROW(ring_broadcast(RingComm{lib, 0, 2}, 2, 100),
+  EXPECT_THROW(ring_broadcast(Comm{lib, 0, 2}, 2, 100),
                std::invalid_argument);
-  EXPECT_THROW(tree_broadcast(RingComm{lib, 0, 2}, -1, 100),
+  EXPECT_THROW(tree_broadcast(Comm{lib, 0, 2}, -1, 100),
                std::invalid_argument);
   // The throw is eager — no coroutine ran, so the world is untouched
   // and a valid collective still works afterwards.
   int completed = 0;
   for (int i = 0; i < 2; ++i) {
     world.sim.spawn(
-        [](RingComm comm, int& done) -> sim::Task<void> {
+        [](Comm comm, int& done) -> sim::Task<void> {
           co_await ring_barrier(comm);
           ++done;
         }(comm_for(libs, i), completed),
@@ -285,7 +285,7 @@ struct LedgerRun {
 /// Runs `per_rank` on every rank of an N-node fabric under a delivery
 /// auditor and closes the ledger as a completed run.
 LedgerRun audited_fabric_run(
-    int ranks, const std::function<sim::Task<void>(RingComm)>& per_rank) {
+    int ranks, const std::function<sim::Task<void>(Comm)>& per_rank) {
   audit::Auditor aud;
   FabricWorldOptions opt;
   opt.shards = 1;
@@ -295,8 +295,8 @@ LedgerRun audited_fabric_run(
   LedgerRun out;
   for (int r = 0; r < ranks; ++r) {
     world.spawn(r,
-                [](const std::function<sim::Task<void>(RingComm)>& body,
-                   RingComm comm, int& done) -> sim::Task<void> {
+                [](const std::function<sim::Task<void>(Comm)>& body,
+                   Comm comm, int& done) -> sim::Task<void> {
                   co_await body(comm);
                   ++done;
                 }(per_rank, world.comm(r), out.completed),
@@ -322,10 +322,10 @@ class FabricCollectives : public ::testing::TestWithParam<int> {};
 TEST_P(FabricCollectives, TreeBroadcastLedgerMatchesRing) {
   const int n = GetParam();
   const std::uint64_t bytes = 32 << 10;
-  const LedgerRun ring = audited_fabric_run(n, [&](RingComm c) {
+  const LedgerRun ring = audited_fabric_run(n, [&](Comm c) {
     return ring_broadcast(c, 1 % n, bytes);
   });
-  const LedgerRun tree = audited_fabric_run(n, [&](RingComm c) {
+  const LedgerRun tree = audited_fabric_run(n, [&](Comm c) {
     return tree_broadcast(c, 1 % n, bytes);
   });
   expect_clean_ledger(ring, n, "ring_broadcast");
@@ -339,9 +339,9 @@ TEST_P(FabricCollectives, TreeBroadcastLedgerMatchesRing) {
 TEST_P(FabricCollectives, DisseminationBarrierLedgerMatchesRing) {
   const int n = GetParam();
   const LedgerRun ring =
-      audited_fabric_run(n, [](RingComm c) { return ring_barrier(c); });
+      audited_fabric_run(n, [](Comm c) { return ring_barrier(c); });
   const LedgerRun diss = audited_fabric_run(
-      n, [](RingComm c) { return dissemination_barrier(c); });
+      n, [](Comm c) { return dissemination_barrier(c); });
   expect_clean_ledger(ring, n, "ring_barrier");
   expect_clean_ledger(diss, n, "dissemination_barrier");
   // O(log N) rounds beat the O(N) token ring once the ring is long.
@@ -354,9 +354,9 @@ TEST_P(FabricCollectives, DisseminationAllgatherLedgerMatchesRing) {
   const int n = GetParam();
   const std::uint64_t block = 2048;
   const LedgerRun ring = audited_fabric_run(
-      n, [&](RingComm c) { return ring_allgather(c, block); });
+      n, [&](Comm c) { return ring_allgather(c, block); });
   const LedgerRun diss = audited_fabric_run(
-      n, [&](RingComm c) { return dissemination_allgather(c, block); });
+      n, [&](Comm c) { return dissemination_allgather(c, block); });
   expect_clean_ledger(ring, n, "ring_allgather");
   expect_clean_ledger(diss, n, "dissemination_allgather");
   // Same total payload either way: every rank ends with N-1 new blocks.
@@ -367,9 +367,9 @@ TEST_P(FabricCollectives, DoublingAllreduceLedgerIsCleanLikeRing) {
   const int n = GetParam();
   const std::uint64_t bytes = 8 << 10;
   const LedgerRun ring = audited_fabric_run(
-      n, [&](RingComm c) { return ring_allreduce(c, bytes); });
+      n, [&](Comm c) { return ring_allreduce(c, bytes); });
   const LedgerRun dbl = audited_fabric_run(
-      n, [&](RingComm c) { return doubling_allreduce(c, bytes); });
+      n, [&](Comm c) { return doubling_allreduce(c, bytes); });
   expect_clean_ledger(ring, n, "ring_allreduce");
   expect_clean_ledger(dbl, n, "doubling_allreduce");
 }
@@ -380,7 +380,7 @@ INSTANTIATE_TEST_SUITE_P(Ns, FabricCollectives, ::testing::Values(4, 8, 64));
 TEST(FabricCollectives, DoublingAllreduceHandlesNonPowerOfTwo) {
   for (int n : {3, 5, 6, 7}) {
     const LedgerRun run = audited_fabric_run(
-        n, [](RingComm c) { return doubling_allreduce(c, 4096); });
+        n, [](Comm c) { return doubling_allreduce(c, 4096); });
     expect_clean_ledger(run, n, "doubling_allreduce non-pow2");
   }
 }
@@ -403,7 +403,7 @@ TEST(FabricCollectives, LossyFabricCompletesOrFailsByDecisionNeverHangs) {
     if (loss > 0) world.fabric().set_loss(loss);
     for (int r = 0; r < 8; ++r) {
       world.spawn(r,
-                  [](RingComm comm) -> sim::Task<void> {
+                  [](Comm comm) -> sim::Task<void> {
                     co_await doubling_allreduce(comm, 16 << 10);
                     co_await dissemination_barrier(comm);
                   }(world.comm(r)),
@@ -426,6 +426,44 @@ TEST(FabricCollectives, LossyFabricCompletesOrFailsByDecisionNeverHangs) {
   }
   EXPECT_GE(completions, 1);  // the lossless leg always completes
   EXPECT_GE(failures, 1);     // 30% loss cannot sneak through
+}
+
+// ---------------------------------------------------------------------------
+// FabricLib point-to-point size contract
+// ---------------------------------------------------------------------------
+
+/// Rank 0 sends `sent` bytes to rank 1, which posts a `posted`-byte
+/// receive after `recv_delay` (0 = posted before the message lands).
+void fabric_one_way(std::uint64_t sent, std::uint64_t posted,
+                    sim::SimTime recv_delay) {
+  FabricWorldOptions opt;
+  opt.shards = 1;
+  opt.host = hw::presets::pentium4_pc();
+  FabricWorld world(2, opt);
+  world.spawn(0,
+              [](FabricLib& l, std::uint64_t n) -> sim::Task<void> {
+                co_await l.send(1, n, 7);
+              }(world.lib(0), sent),
+              "tx");
+  world.spawn(1,
+              [](FabricLib& l, std::uint64_t n,
+                 sim::SimTime delay) -> sim::Task<void> {
+                co_await l.node().simulator().delay(delay);
+                co_await l.recv(0, n, 7);
+              }(world.lib(1), posted, recv_delay),
+              "rx");
+  world.run();
+}
+
+TEST(FabricLib, MessageLongerThanTheReceiveRaisesLengthError) {
+  EXPECT_THROW(fabric_one_way(4096, 1024, 0), std::length_error);
+  EXPECT_THROW(fabric_one_way(4096, 1024, sim::milliseconds(1)),
+               std::length_error);
+}
+
+TEST(FabricLib, MessageShorterThanTheReceiveIsLegal) {
+  EXPECT_NO_THROW(fabric_one_way(1024, 4096, 0));
+  EXPECT_NO_THROW(fabric_one_way(1024, 4096, sim::milliseconds(1)));
 }
 
 }  // namespace

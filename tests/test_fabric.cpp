@@ -290,7 +290,7 @@ std::uint64_t collective_run_checksum(int shards) {
         r,
         [](mp::FabricWorld& w, int rank,
            sim::SimTime& out) -> sim::Task<void> {
-          const mp::RingComm comm = w.comm(rank);
+          const mp::Comm comm = w.comm(rank);
           co_await mp::dissemination_barrier(comm);
           co_await mp::tree_broadcast(comm, 3, 32 << 10);
           co_await mp::doubling_allreduce(comm, 4 << 10);

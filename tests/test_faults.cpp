@@ -511,6 +511,9 @@ TEST(LinkFaults, FlapInsideCoalescingWindowCannotRetroDropOrRevive) {
 }
 
 // ---- OS-bypass fabric recovery ---------------------------------------------
+// Recovery properties shared by every stack personality (duplicate
+// filtering, the per-message watchdog reset, crash replay) are checked
+// once per personality in test_bypass.
 
 TEST(GmRecovery, DeliveryWatchdogCompletesPingpongUnderLoss) {
   gm::GmConfig cfg;
@@ -525,22 +528,6 @@ TEST(GmRecovery, DeliveryWatchdogCompletesPingpongUnderLoss) {
   const auto& pb = bed.fabric.port_b();
   EXPECT_GT(pa.frags_lost() + pb.frags_lost(), 0u);
   EXPECT_GT(pa.delivery_failures() + pb.delivery_failures(), 0u);
-}
-
-TEST(GmRecovery, DuplicatesAreFilteredInHardware) {
-  GmBed bed;  // no watchdog needed: duplicates only add frames
-  faults::LinkFaultConfig cfg;
-  cfg.duplicate = 0.05;
-  faults::FaultPlan plan;
-  plan.seed = 43;
-  plan.add_link("", cfg);
-  faults::apply(plan, bed.cluster);
-  const sim::SimTime done = gm_pingpong(bed, 256 << 10, 3);
-  EXPECT_GT(done, 0u);
-  EXPECT_EQ(bed.fabric.port_a().messages_received(), 3u);
-  EXPECT_GT(bed.cluster.pipes()[0]->packets_duplicated() +
-                bed.cluster.pipes()[1]->packets_duplicated(),
-            0u);
 }
 
 TEST(ViaRecovery, RdmaHandshakeRecoversUnderLoss) {
@@ -739,106 +726,6 @@ TEST(FaultStats, GilbertElliottMatchesSteadyStateTheory) {
   ASSERT_GT(bursts, 0);
   EXPECT_NEAR(static_cast<double>(losses) / static_cast<double>(bursts),
               1.0 / 0.25, 0.5);
-}
-
-// ---- Delivery watchdog resets per message (satellite regression) -----------
-
-// Regression for the sticky-backoff bug: a message that needed watchdog
-// retries must not bequeath its escalated timeout to the *next* message.
-// Two beds run the same two-message schedule under the same link flap;
-// in one the first message has to retry through a flap window (backing
-// its timeout off), in the other it goes out on a quiet link. Message 2
-// is sent at the identical instant in both, and the retry machinery is
-// RNG-free, so if each message starts from the base timeout the second
-// exchange finishes at the *exact same* simulated time in both beds.
-sim::SimTime gm_second_exchange_done(sim::SimTime first_at) {
-  gm::GmConfig cfg;
-  cfg.delivery_timeout = sim::microseconds(500.0);
-  GmBed bed(cfg);
-  faults::LinkFaultConfig lf;
-  lf.flap_period = sim::milliseconds(50.0);
-  lf.flap_down = sim::milliseconds(2.0);  // deaf in [0, 2) and [50, 52) ms
-  faults::FaultPlan plan;
-  plan.add_link("", lf);
-  faults::apply(plan, bed.cluster);
-  sim::SimTime done = 0;
-  bed.sim.spawn(
-      [](GmBed& b, sim::SimTime first_at, sim::SimTime& out)
-          -> sim::Task<void> {
-        gm::GmPort& p = b.fabric.port_a();
-        co_await b.sim.delay_until(first_at);
-        co_await p.send(4096, 1);
-        co_await p.recv(4096, 1);
-        co_await b.sim.delay_until(sim::milliseconds(50.0) +
-                                   sim::microseconds(100.0));
-        co_await p.send(4096, 2);
-        co_await p.recv(4096, 2);
-        out = b.sim.now();
-      }(bed, first_at, done),
-      "ping");
-  bed.sim.spawn(
-      [](GmBed& b) -> sim::Task<void> {
-        gm::GmPort& p = b.fabric.port_b();
-        co_await p.recv(4096, 1);
-        co_await p.send(4096, 1);
-        co_await p.recv(4096, 2);
-        co_await p.send(4096, 2);
-      }(bed),
-      "pong");
-  bed.sim.run();
-  return done;
-}
-
-TEST(GmRecovery, DeliveryTimeoutResetsToBaseForEachNewMessage) {
-  const sim::SimTime backed_off = gm_second_exchange_done(0);
-  const sim::SimTime quiet = gm_second_exchange_done(sim::milliseconds(10.0));
-  EXPECT_GT(backed_off, 0u);
-  EXPECT_EQ(backed_off, quiet);
-}
-
-sim::SimTime via_second_exchange_done(sim::SimTime first_at) {
-  via::ViaConfig cfg;
-  cfg.delivery_timeout = sim::microseconds(500.0);
-  ViaBed bed(cfg);
-  faults::LinkFaultConfig lf;
-  lf.flap_period = sim::milliseconds(50.0);
-  lf.flap_down = sim::milliseconds(2.0);
-  faults::FaultPlan plan;
-  plan.add_link("", lf);
-  faults::apply(plan, bed.cluster);
-  sim::SimTime done = 0;
-  bed.sim.spawn(
-      [](ViaBed& b, sim::SimTime first_at, sim::SimTime& out)
-          -> sim::Task<void> {
-        via::ViEndpoint& p = b.fabric.end_a();
-        co_await b.sim.delay_until(first_at);
-        co_await p.send(4096, 1);
-        co_await p.recv(4096, 1);
-        co_await b.sim.delay_until(sim::milliseconds(50.0) +
-                                   sim::microseconds(100.0));
-        co_await p.send(4096, 2);
-        co_await p.recv(4096, 2);
-        out = b.sim.now();
-      }(bed, first_at, done),
-      "ping");
-  bed.sim.spawn(
-      [](ViaBed& b) -> sim::Task<void> {
-        via::ViEndpoint& p = b.fabric.end_b();
-        co_await p.recv(4096, 1);
-        co_await p.send(4096, 1);
-        co_await p.recv(4096, 2);
-        co_await p.send(4096, 2);
-      }(bed),
-      "pong");
-  bed.sim.run();
-  return done;
-}
-
-TEST(ViaRecovery, DeliveryTimeoutResetsToBaseForEachNewMessage) {
-  const sim::SimTime backed_off = via_second_exchange_done(0);
-  const sim::SimTime quiet = via_second_exchange_done(sim::milliseconds(10.0));
-  EXPECT_GT(backed_off, 0u);
-  EXPECT_EQ(backed_off, quiet);
 }
 
 // ---- pp.faultplan/1 serialization ------------------------------------------

@@ -123,7 +123,7 @@ void check_figure(const std::string& prefix, sweep::SweepSpec spec,
 /// collective on an N-node fat-tree; the golden contract mirrors
 /// bench/scaling's measurement.
 sim::SimTime scaling_latency(
-    int nodes, const std::function<sim::Task<void>(mp::RingComm)>& op) {
+    int nodes, const std::function<sim::Task<void>(mp::Comm)>& op) {
   constexpr int kIters = 3;
   mp::FabricWorldOptions opt;
   opt.shards = 1;
@@ -136,11 +136,11 @@ sim::SimTime scaling_latency(
     world.spawn(
         r,
         [](mp::FabricWorld& w, int rank,
-           const std::function<sim::Task<void>(mp::RingComm)>& body,
+           const std::function<sim::Task<void>(mp::Comm)>& body,
            std::vector<sim::SimTime>& in,
            std::vector<sim::SimTime>& out) -> sim::Task<void> {
           sim::Simulator& sm = w.simulator(rank);
-          const mp::RingComm comm = w.comm(rank);
+          const mp::Comm comm = w.comm(rank);
           for (int i = 0; i < kIters; ++i) {
             const auto it = static_cast<std::size_t>(i);
             in[it] = std::min(in[it], sm.now());
@@ -161,7 +161,7 @@ sim::SimTime scaling_latency(
 /// column is meaningless for a latency curve and pinned at zero).
 void check_scaling_curve(
     const std::string& name, const std::vector<int>& nodes,
-    const std::function<sim::Task<void>(mp::RingComm)>& op) {
+    const std::function<sim::Task<void>(mp::Comm)>& op) {
   const std::filesystem::path path =
       std::filesystem::path(PP_GOLDEN_DIR) / ("scaling_" + name + ".dat");
   std::vector<DatRow> fresh;
@@ -199,8 +199,8 @@ void check_scaling_curve(
 TEST(Golden, ScalingBarrier) {
   const std::vector<int> nodes = {8, 16, 64};
   check_scaling_curve("barrier_ring", nodes,
-                      [](mp::RingComm c) { return mp::ring_barrier(c); });
-  check_scaling_curve("barrier_dissemination", nodes, [](mp::RingComm c) {
+                      [](mp::Comm c) { return mp::ring_barrier(c); });
+  check_scaling_curve("barrier_dissemination", nodes, [](mp::Comm c) {
     return mp::dissemination_barrier(c);
   });
 }
@@ -208,10 +208,10 @@ TEST(Golden, ScalingBarrier) {
 TEST(Golden, ScalingAllreduce) {
   const std::vector<int> nodes = {8, 16, 64};
   constexpr std::uint64_t kBytes = 16 << 10;
-  check_scaling_curve("allreduce_ring", nodes, [](mp::RingComm c) {
+  check_scaling_curve("allreduce_ring", nodes, [](mp::Comm c) {
     return mp::ring_allreduce(c, kBytes);
   });
-  check_scaling_curve("allreduce_doubling", nodes, [](mp::RingComm c) {
+  check_scaling_curve("allreduce_doubling", nodes, [](mp::Comm c) {
     return mp::doubling_allreduce(c, kBytes);
   });
 }
